@@ -165,7 +165,8 @@ def _build_source(cfg, grid: GridSpec) -> SpaceTimeField:
     if s["kind"] == "bump":
         w = s.get("width", 0.5)
         rho2 = sum(m**2 for m in grid.meshgrid())
-        return SpaceTimeField(grid, np.tile(np.exp(-rho2 / w**2), (grid.nt, 1, 1)), 1)
+        reps = (grid.nt,) + (1,) * grid.spatial_dim
+        return SpaceTimeField(grid, np.tile(np.exp(-rho2 / w**2), reps), 1)
     raise ConfigError(f"unknown source kind: {s['kind']}")
 
 
@@ -375,25 +376,7 @@ def _emit_plot_files(manifest: dict, outdir: Path) -> list:
                 for row in rep["per_axis"]:
                     fh.write(f"{row['axis']} {row['ks']} {row['critical_1pct']}\n")
             written.append(path)
-    ladder = [s for s in manifest["stages"] if s["stage"] == "degiorgi"]
-    if ladder and "records" in ladder[0]:
-        path = outdir / "degiorgi_ladder.dat"
-        with open(path, "w") as fh:
-            fh.write("# n t_n lambda_n kappa_n a_n\n")
-            for r in ladder[0]["records"]:
-                fh.write(f"{r['n']} {r['t_n']} {r['lambda_n']} {r['kappa_n']} {r['a_n']}\n")
-        written.append(path)
     return written
-
-
-def write_degiorgi_plot(states, path) -> None:
-    """Columnar ladder file: one row per level, monotone t_n column."""
-    with open(path, "w") as fh:
-        fh.write("# n t_n lambda_n kappa_n ell_1 ell_2 ell_3 a_n\n")
-        for s in states:
-            r = s.record()
-            fh.write(" ".join(str(r[k]) for k in
-                              ("n", "t_n", "lambda_n", "kappa_n", "ell_1", "ell_2", "ell_3", "a_n")) + "\n")
 
 
 # ---------------------------------------------------------------------------

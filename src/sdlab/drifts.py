@@ -90,16 +90,6 @@ class DriftField:
             slices.append(vals.reshape(shape))
         return SpaceTimeField(grid, np.stack(slices), 1)
 
-    def sample_on_grid(self, grid: GridSpec) -> SpaceTimeField:
-        """All d components on the grid (vector SpaceTimeField)."""
-        X = grid.nodes()
-        shape = (self.dim,) + grid.spatial_shape()
-        slices = []
-        for t in grid.times:
-            vals = self(t, X)  # (N^d, d)
-            slices.append(np.moveaxis(vals, -1, 0).reshape(shape))
-        return SpaceTimeField(grid, np.stack(slices), self.dim)
-
 
 # ---------------------------------------------------------------------------
 # Radial drift  b(x) = -c x |x|^{-2}
@@ -181,37 +171,37 @@ def lattice_drift(
     Lp = float(period)
 
     def wrap(v):
-        return (v + Lp / 2) % Lp - Lp / 2
+        # minimum image; rint is far cheaper per element than float %
+        return v - Lp * np.rint(v / Lp)
 
     def _terms(X):
-        # yields (gamma, displacement, rho2) per lattice point
+        # yields (gamma, displacement, rho2) per lattice point; coordinates
+        # lead, shape (d, ...), so every array operation runs over the points
+        Xt = np.ascontiguousarray(np.moveaxis(X, -1, 0))
+        lead = (slice(None),) + (None,) * (X.ndim - 1)
         for gamma, z in zip(gammas, zs):
-            disp = wrap(X - z)
-            rho2 = np.sum(disp * disp, axis=-1)
+            disp = wrap(Xt - z[lead])
+            rho2 = sum(c * c for c in disp)
             yield gamma, disp, rho2
 
     def ev(t, X):
-        out = np.zeros_like(X)
+        out = np.zeros((d,) + X.shape[:-1])
         for gamma, disp, rho2 in _terms(X):
             u = rho2 + e2
             rho = np.sqrt(rho2)
             with np.errstate(divide="ignore", invalid="ignore"):
                 g = u ** (-a / 2.0) * _phi(rho)
-            out += gamma * disp * g[..., None]
-        return out
+            out += gamma * disp * g
+        return np.ascontiguousarray(np.moveaxis(out, 0, -1))
 
     def dv(t, X):
         out = np.zeros(X.shape[:-1])
         for gamma, disp, rho2 in _terms(X):
             u = rho2 + e2
             rho = np.sqrt(rho2)
-            phi = _phi(rho)
             with np.errstate(divide="ignore", invalid="ignore"):
-                term = (
-                    d * u ** (-a / 2.0) * phi
-                    - a * rho2 * u ** (-a / 2.0 - 1.0) * phi
-                    + rho * u ** (-a / 2.0) * _phi_prime(rho)
-                )
+                g = u ** (-a / 2.0)
+                term = g * ((d - a * rho2 / u) * _phi(rho) + rho * _phi_prime(rho))
             out += gamma * term
         return out
 

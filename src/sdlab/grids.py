@@ -132,17 +132,14 @@ class SpaceTimeField:
         return SpaceTimeField(self.grid, self.values[:, i], 1)
 
     @staticmethod
-    def from_function(grid: GridSpec, fn, components: int = 1) -> "SpaceTimeField":
+    def from_function(grid: GridSpec, fn) -> "SpaceTimeField":
         """Sample fn(t, *coords) on the grid; fn must broadcast over arrays."""
         mesh = grid.meshgrid()
         slices = []
         for t in grid.times:
             val = fn(t, *mesh)
             slices.append(np.broadcast_to(val, mesh[0].shape).astype(np.float64))
-        arr = np.stack(slices)
-        if components != 1:
-            raise ValueError("use from_vector_function for vector fields")
-        return SpaceTimeField(grid, arr, 1)
+        return SpaceTimeField(grid, np.stack(slices), 1)
 
     @staticmethod
     def from_vector_function(grid: GridSpec, fn) -> "SpaceTimeField":

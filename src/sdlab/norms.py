@@ -18,13 +18,16 @@ from sdlab.grids import GridSpec, SpaceTimeField
 # Smooth transition profile
 
 
-def _bump(x):
-    """exp(-1/x) for x > 0, zero otherwise (C^inf at 0)."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.zeros_like(x)
-    pos = x > 1e-12
-    out[pos] = np.exp(-1.0 / x[pos])
-    return out
+def _transition(s, lo, hi):
+    """(u, phi) with u = (hi - s)/(hi - lo) clipped to [0, 1] and phi the profile.
+
+    phi = e^{-1/u} / (e^{-1/u} + e^{-1/(1-u)}) = 1 / (1 + e^{1/u - 1/(1-u)}):
+    one exp per point, and the clipped ends give exactly 1 and 0.
+    """
+    u = np.clip((hi - np.asarray(s, dtype=np.float64)) / (hi - lo), 0.0, 1.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        phi = 1.0 / (1.0 + np.exp(1.0 / u - 1.0 / (1.0 - u)))
+    return u, phi
 
 
 def smooth_transition(s, lo, hi):
@@ -33,23 +36,22 @@ def smooth_transition(s, lo, hi):
     Built from the standard bump e^{-1/x} via the partition-of-unity
     trick; monotone on [lo, hi].
     """
-    s = np.asarray(s, dtype=np.float64)
-    u = (hi - s) / (hi - lo)
-    a = _bump(u)
-    b = _bump(1.0 - u)
-    with np.errstate(invalid="ignore"):
-        val = a / (a + b)
-    val = np.where(s <= lo, 1.0, val)
-    val = np.where(s >= hi, 0.0, val)
-    return val
+    return _transition(s, lo, hi)[1]
 
 
-def smooth_transition_deriv(s, lo, hi, eps=1e-6):
-    """d/ds of smooth_transition, by symmetric differencing (profile is C^inf)."""
-    return (
-        smooth_transition(np.asarray(s) + eps, lo, hi)
-        - smooth_transition(np.asarray(s) - eps, lo, hi)
-    ) / (2 * eps)
+def smooth_transition_deriv(s, lo, hi):
+    """d/ds of smooth_transition in closed form; 0 outside (lo, hi).
+
+    With w = 1/u - 1/(1-u), phi = 1/(1 + e^w) and
+    dphi/ds = phi (1 - phi) (1/u^2 + 1/(1-u)^2) / (lo - hi).
+    Where phi (1 - phi) is 0 in floating point the derivative is 0 too,
+    which also covers the clipped ends.
+    """
+    u, phi = _transition(s, lo, hi)
+    slope = phi * (1.0 - phi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = slope * (1.0 / (u * u) + 1.0 / ((1.0 - u) * (1.0 - u))) / (lo - hi)
+    return np.where(slope > 0.0, out, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -193,19 +195,23 @@ class CutoffFamily:
     def profile_space(self, dist):
         return smooth_transition(np.asarray(dist) / self.radius, 1.0, 2.0)
 
-    def evaluate(self, grid: GridSpec, center: tuple) -> np.ndarray:
-        """chi_r^{s,z} sampled on the grid, shape (nt, N, ..., N).
+    def spatial(self, grid: GridSpec, z) -> np.ndarray:
+        """The spatial factor xi_r(x - z) on the grid nodes, shape (N, ..., N).
 
-        Spatial displacement is taken minimum-image, so supports must not
-        wrap (requires L >= 8r, enforced by the caller's grid choice).
+        Displacement is taken minimum-image, so supports must not wrap
+        (requires L >= 8r, enforced by the caller's grid choice).
         """
-        s, z = center[0], np.asarray(center[1], dtype=np.float64)
-        tpart = self.profile_time(grid.times - s)
+        z = np.asarray(z, dtype=np.float64)
         mesh = grid.meshgrid()
         dist = np.sqrt(
             sum(grid.wrap(m - z[i]) ** 2 for i, m in enumerate(mesh))
         )
-        xpart = self.profile_space(dist)
+        return self.profile_space(dist)
+
+    def evaluate(self, grid: GridSpec, center: tuple) -> np.ndarray:
+        """chi_r^{s,z} = tau_r(t - s) xi_r(x - z) on the grid, shape (nt, N, ..., N)."""
+        tpart = self.profile_time(grid.times - center[0])
+        xpart = self.spatial(grid, center[1])
         return tpart.reshape((-1,) + (1,) * grid.spatial_dim) * xpart[None]
 
     def lattice_centers(self, grid: GridSpec) -> list:
@@ -235,17 +241,31 @@ def localized_norm(
     """Max over cutoff translates of the norm of f * chi_r^{s,z}.
 
     A lower bound of the continuum sup, converging as the center lattice
-    refines.
+    refines.  Since chi = tau(t - s) xi(x - z) with tau >= 0 and the
+    Bessel potential acts slice by slice, the slice norms of f * chi are
+    tau(t - s) times those of f * xi: they are computed once per distinct
+    spatial center and scaled for each time center.
     """
+    if not f.is_scalar:
+        raise ValueError("localized_norm expects a scalar field")
     if cutoffs is None:
         cutoffs = CutoffFamily(radius=spec.cutoff_radius)
-    centers = cutoffs.lattice_centers(f.grid)
+    g = f.grid
+    centers = cutoffs.lattice_centers(g)
     if not centers:
         raise ValueError("cutoff family has an empty center lattice")
+    slice_norms = {}
     best, best_center = -np.inf, None
     for c in centers:
-        chi = cutoffs.evaluate(f.grid, c)
-        val = mixed_norm(f.copy_with(f.values * chi), spec.p, spec.q, spec.alpha)
+        s, z = c[0], c[1]
+        key = tuple(np.ravel(z))
+        per_slice = slice_norms.get(key)
+        if per_slice is None:
+            local = f.copy_with(f.values * cutoffs.spatial(g, z))
+            if spec.alpha != 0.0:
+                local = bessel_apply(local, spec.alpha)
+            per_slice = slice_norms[key] = _lp_space(local.values, spec.p, g.cell_volume)
+        val = _lq_time(cutoffs.profile_time(g.times - s) * per_slice, spec.q, g.times)
         if val > best:
             best, best_center = val, c
     if return_center:
@@ -315,15 +335,6 @@ def gn_interpolation_ratio(f: SpaceTimeField, alpha, theta, p, q, r) -> float:
     if not mask.any():
         return 0.0
     return float(np.max(lhs[mask] / denom[mask]))
-
-
-def indicator_ratio(mask: SpaceTimeField, p, q, r, s) -> float:
-    """Ratio ||1_A||_{p;q} / ||1_A||_{r;s}^{(r/p) ^ (s/q)} for an indicator field."""
-    lhs = mixed_norm(mask, p, q)
-    rhs = mixed_norm(mask, r, s) ** min(r / p, s / q)
-    if rhs == 0:
-        return 0.0
-    return lhs / rhs
 
 
 def inequality_battery(fields: list[SpaceTimeField], d: int | None = None) -> list[dict]:

@@ -11,6 +11,7 @@ from sdlab.cli import (
     main,
     validate_config_data,
 )
+from sdlab.grids import read_field
 
 
 @pytest.fixture(scope="module")
@@ -138,3 +139,24 @@ def test_unknown_verifier_reported_failed(runner, tmp_path):
     rep = json.loads(reports[0])
     assert not rep["passed"]
     assert "unknown verifier" in rep["error"]
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_bump_source_outside_2d(runner, tmp_path, dim):
+    cfg = {
+        "schema_version": 1,
+        "name": f"bump-{dim}d",
+        "seed": 3,
+        "grid": {"dim": dim, "extent": 4.0, "points": 8, "t0": 0.0, "t1": 0.1, "steps": 4},
+        "drift": {"kind": "zero"},
+        "source": {"kind": "bump", "width": 0.5},
+        "pde": {"direction": "backward"},
+        "verifiers": [{"name": "max-principle"}],
+    }
+    path = tmp_path / "bump.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "run"
+    result = runner.invoke(main, ["run", "--config", str(path), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    solution = read_field(out / "solution.sdlf")
+    assert solution.values.shape == (5,) + (8,) * dim

@@ -11,6 +11,7 @@ from sdlab.drifts import (
     zero_drift,
 )
 from sdlab.grids import GridSpec, SpaceTimeField, write_field
+from sdlab.norms import smooth_transition, smooth_transition_deriv
 
 
 def test_radial_drift_closed_form():
@@ -184,3 +185,44 @@ def test_admissibility_drift_norm_refinement_values():
     assert stable.drift_stable
     critical = check_admissibility(b, 3.0, 12.0, 1.8, 12.0, g)
     assert not critical.drift_stable
+
+
+def _lattice_modulo_reference(gamma_max, alpha_sing, d, period, seed, eps, X):
+    """(b, div b) of lattice_drift, spike by spike, with the float-% periodic wrap."""
+    rng = np.random.default_rng(seed)
+    axis = np.arange(period) - period // 2
+    zs = np.stack(
+        [m.ravel() for m in np.meshgrid(*([axis] * d), indexing="ij")], axis=-1
+    ).astype(np.float64)
+    gammas = rng.uniform(0.0, gamma_max, size=len(zs))
+    L, a, e2 = float(period), alpha_sing, eps * eps
+    b = np.zeros_like(X)
+    div = np.zeros(X.shape[:-1])
+    for gamma, z in zip(gammas, zs):
+        disp = (X - z + L / 2) % L - L / 2
+        rho2 = np.sum(disp * disp, axis=-1)
+        u = rho2 + e2
+        rho = np.sqrt(rho2)
+        phi = smooth_transition(rho, 1.0, 2.0)
+        dphi = smooth_transition_deriv(rho, 1.0, 2.0)
+        b += gamma * disp * (u ** (-a / 2.0) * phi)[..., None]
+        div += gamma * (
+            d * u ** (-a / 2.0) * phi
+            - a * rho2 * u ** (-a / 2.0 - 1.0) * phi
+            + rho * u ** (-a / 2.0) * dphi
+        )
+    return b, div
+
+
+@pytest.mark.parametrize("period", [3, 4, 5])
+@pytest.mark.parametrize("scale", [3.0, 1e3])
+@pytest.mark.parametrize("d", [2, 3])
+def test_lattice_drift_matches_modulo_wrap(period, scale, d):
+    # the rint wrap and the % wrap differ by rounding of |X| (ulp(1e3) ~ 1e-13);
+    # the eps = 0.2 field is Lipschitz with a constant of order 10
+    rng = np.random.default_rng(period)
+    X = rng.uniform(-scale, scale, (40, 10, d))
+    b = lattice_drift(1.0, 1.5, d, period=period, seed=5, eps=0.2)
+    ref_b, ref_div = _lattice_modulo_reference(1.0, 1.5, d, period, 5, 0.2, X)
+    np.testing.assert_allclose(b(0.0, X), ref_b, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(b.divergence(0.0, X), ref_div, rtol=0, atol=1e-10)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -17,6 +19,7 @@ from sdlab.norms import (
     mollifier_kernel,
     mollify,
     smooth_transition,
+    smooth_transition_deriv,
     spacetime_norm,
     spatial_gradient,
     vnorm,
@@ -34,6 +37,48 @@ def test_smooth_transition_plateaus():
     assert np.all(v[s >= 4.0] == 0.0)
     assert np.all(np.diff(v) <= 1e-12)
     assert np.all((v >= 0) & (v <= 1))
+
+
+def _two_bump_transition(s, lo, hi):
+    """The profile as e^{-1/u} / (e^{-1/u} + e^{-1/(1-u)}), each bump masked."""
+
+    def bump(x):
+        out = np.zeros_like(x)
+        pos = x > 1e-12
+        out[pos] = np.exp(-1.0 / x[pos])
+        return out
+
+    s = np.asarray(s, dtype=np.float64)
+    u = (hi - s) / (hi - lo)
+    a, b = bump(u), bump(1.0 - u)
+    with np.errstate(invalid="ignore"):
+        val = a / (a + b)
+    val = np.where(s <= lo, 1.0, val)
+    return np.where(s >= hi, 0.0, val)
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 4.0), (1.0, 2.0), (-0.5, 0.25)])
+def test_smooth_transition_matches_two_bump_form(lo, hi):
+    edges = [lo, hi, np.nextafter(lo, hi), np.nextafter(hi, lo), lo + 1e-13, hi - 1e-13]
+    far = [-1e300, -1e6, 1e6, 1e300, -np.inf, np.inf]
+    s = np.concatenate([np.linspace(lo - 2.0, hi + 2.0, 20001), edges, far])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val = smooth_transition(s, lo, hi)
+        deriv = smooth_transition_deriv(s, lo, hi)
+    np.testing.assert_allclose(val, _two_bump_transition(s, lo, hi), rtol=0, atol=1e-15)
+    assert np.all(np.isfinite(deriv))
+    assert np.all(deriv[(s <= lo) | (s >= hi)] == 0.0)
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 4.0), (1.0, 2.0)])
+def test_smooth_transition_deriv_closed_form(lo, hi):
+    h = 1e-3
+    s = np.linspace(lo - 0.5, hi + 0.5, 4001)
+    st = lambda x: smooth_transition(x, lo, hi)  # noqa: E731
+    central4 = (-st(s + 2 * h) + 8 * st(s + h) - 8 * st(s - h) + st(s - 2 * h)) / (12 * h)
+    # truncation h^4 f^(5) / 30 is below 1e-8 for widths >= 1
+    np.testing.assert_allclose(smooth_transition_deriv(s, lo, hi), central4, rtol=0, atol=1e-8)
 
 
 def test_norm_spec_validation():
@@ -182,6 +227,35 @@ def test_localized_norm_bounded_by_global():
     f = SpaceTimeField(g, rng.standard_normal((g.nt, 32, 32)), 1)
     spec = NormSpec(0.0, 3.0, 4.0, 1.0)
     assert localized_norm(f, spec) <= mixed_norm(f, 3.0, 4.0) * (1 + 1e-9)
+
+
+def _localized_norm_loop(f, spec, fam):
+    """Max over centers of mixed_norm(f * chi), chi evaluated per center."""
+    best, best_center = -np.inf, None
+    for c in fam.lattice_centers(f.grid):
+        chi = fam.evaluate(f.grid, c)
+        val = mixed_norm(f.copy_with(f.values * chi), spec.p, spec.q, spec.alpha)
+        if val > best:
+            best, best_center = val, c
+    return best, best_center
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+@pytest.mark.parametrize("q", [4.0, np.inf])
+def test_localized_norm_matches_direct_loop(alpha, q):
+    # a time window of 3 r^2 makes the time profile vary across centers
+    g = GridSpec(2, 8.0, 16, 0.0, 3.0, 6)
+    rng = np.random.default_rng(17)
+    f = SpaceTimeField(g, rng.standard_normal((g.nt, 16, 16)), 1)
+    spec = NormSpec(alpha, 3.0, q, 1.0)
+    custom = CutoffFamily(1.0, [(0.5, np.zeros(2)), (2.0, np.zeros(2)), (1.0, np.array([1.0, -2.0]))])
+    for fam in (CutoffFamily(radius=1.0), custom):
+        ref, ref_center = _localized_norm_loop(f, spec, fam)
+        val, center = localized_norm(f, spec, fam, return_center=True)
+        assert val == pytest.approx(ref, rel=1e-12)
+        assert center[0] == ref_center[0]
+        np.testing.assert_array_equal(center[1], ref_center[1])
+        assert localized_norm(f, spec, fam) == val
 
 
 def test_mollifier_kernel_mass_and_support():
