@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from sdlab.grids import GridSpec, SpaceTimeField, read_field
+from sdlab.grids import GridSpec, SpaceTimeField, interp_space, read_field
 from sdlab.norms import (
     CutoffFamily,
     NormSpec,
@@ -160,6 +160,9 @@ def lattice_drift(
         raise ValueError("spike exponent must be < 3")
     if gamma_max < 0:
         raise ValueError("gamma_max must be nonnegative")
+    if period < 4:
+        # spikes reach radius 2 and the minimum-image wrap keeps one image each
+        raise ValueError(f"period must be >= 4 (twice the spike radius), got {period}")
     rng = np.random.default_rng(seed)
     zs = np.stack(
         [m.ravel() for m in np.meshgrid(*([np.arange(period) - period // 2] * d), indexing="ij")],
@@ -318,10 +321,10 @@ def load_external(path, grid: GridSpec | None = None, divergence_path=None) -> D
         k0 = int(np.floor(tt))
         k1 = min(k0 + 1, g.time_steps)
         wt = tt - k0
-        lo = _interp_space(g, X, data[k0])
+        lo = interp_space(g, X, data[k0])
         if wt == 0.0:
             return lo
-        hi = _interp_space(g, X, data[k1])
+        hi = interp_space(g, X, data[k1])
         return (1 - wt) * lo + wt * hi
 
     def ev(t, X):
@@ -345,25 +348,6 @@ def load_external(path, grid: GridSpec | None = None, divergence_path=None) -> D
     )
     b.mollifier = lambda e: b
     return b
-
-
-def _interp_space(g: GridSpec, X, data):
-    """Multilinear periodic interpolation of data (c, N, ..., N) at X (..., d)."""
-    N, L = g.points_per_axis, g.extent
-    idx = (np.asarray(X) + L / 2) / g.h  # fractional index per axis
-    base = np.floor(idx).astype(int)
-    frac = idx - base
-    d = g.spatial_dim
-    out = 0.0
-    for corner in range(1 << d):
-        w = np.ones(frac.shape[:-1])
-        ix = []
-        for ax in range(d):
-            bit = (corner >> ax) & 1
-            w = w * (frac[..., ax] if bit else 1 - frac[..., ax])
-            ix.append((base[..., ax] + bit) % N)
-        out = out + w * data[(slice(None), *ix)]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,25 @@ class SpaceTimeField:
         return SpaceTimeField(grid, arr, grid.spatial_dim)
 
 
+def interp_space(g: GridSpec, X, data):
+    """Multilinear periodic interpolation of data (c, N, ..., N) at X (..., d)."""
+    N, L = g.points_per_axis, g.extent
+    idx = (np.asarray(X) + L / 2) / g.h  # fractional index per axis
+    base = np.floor(idx).astype(int)
+    frac = idx - base
+    d = g.spatial_dim
+    out = 0.0
+    for corner in range(1 << d):
+        w = np.ones(frac.shape[:-1])
+        ix = []
+        for ax in range(d):
+            bit = (corner >> ax) & 1
+            w = w * (frac[..., ax] if bit else 1 - frac[..., ax])
+            ix.append((base[..., ax] + bit) % N)
+        out = out + w * data[(slice(None), *ix)]
+    return out
+
+
 _HEADER = struct.Struct("<4sIIIdIddI")
 
 

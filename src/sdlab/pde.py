@@ -155,6 +155,7 @@ def solve(problem: PDEProblem, config: SolverConfig | None = None) -> SolutionBu
     lu = spla.splu(M)
 
     u = np.zeros((grid.nt, n))
+    residual = 0.0
     for k in range(grid.time_steps):
         if not problem.autonomous:
             A = build_operator(grid, drift_at(k))
@@ -172,12 +173,9 @@ def solve(problem: PDEProblem, config: SolverConfig | None = None) -> SolutionBu
         else:
             rhs = u[k] + dt * (Aadv @ u[k] + fvals[k])
         u[k + 1] = lu.solve(rhs)
-
-    # discrete defect of the implicit relation (solver consistency, not
-    # discretization error)
-    residual = 0.0
-    if config.scheme == "implicit":
-        for k in range(grid.time_steps):
+        if config.scheme == "implicit":
+            # discrete defect of this step's implicit relation (solver
+            # consistency, not discretization error)
             r = (u[k + 1] - u[k]) / dt - A @ u[k + 1] - fvals[k]
             residual = max(residual, float(np.abs(r).max()))
 

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 import scipy.stats
 
 from sdlab.drifts import DriftField
+from sdlab.grids import interp_space
 
 SQRT2 = np.sqrt(2.0)
 
@@ -107,46 +109,56 @@ def _start_array(config: EnsembleConfig) -> np.ndarray:
     return x0
 
 
+def _increment(config: EnsembleConfig, k: int) -> np.ndarray:
+    """Brownian increment of step k: diffusion * sqrt(dt) * N(0, I), keyed by (seed, k)."""
+    return config.diffusion * np.sqrt(config.dt) * step_normals(config.seed, k, config.paths, config.drift.dim)
+
+
 def simulate(config: EnsembleConfig, integrands: dict | None = None,
-             integral_marks=None) -> TrajectoryEnsemble:
+             integral_marks=None, increment=None) -> TrajectoryEnsemble:
     """March the ensemble; optionally accumulate path-time integrals.
 
     ``integrands`` maps names to callables f(t, X) -> (paths,) whose
     left-endpoint Riemann sums are returned per path.  With
     ``integral_marks`` the running sums are also snapshotted at those
-    times (used by the short-horizon scaling fits).
+    times (used by the short-horizon scaling fits); a mark at or before
+    the start time snapshots zeros.  ``increment(k)`` is the noise added
+    at step k, by default diffusion * sqrt(dt) * step_normals(seed, k).
     """
     s, _ = config.start
-    d = config.drift.dim
     K = config.n_steps
     dt = config.dt
     x = _start_array(config)
     stride = config.store_stride
+    integrands = integrands or {}
+    if increment is None:
+        increment = partial(_increment, config)
 
     stored = [x.copy()]
     stored_times = [s]
-    sums = {name: np.zeros(config.paths) for name in (integrands or {})}
+    sums = {name: np.zeros(config.paths) for name in integrands}
     marks = list(integral_marks) if integral_marks is not None else []
     snaps = {name: [] for name in sums}
 
-    t = s
     next_mark = 0
-    for k in range(K):
-        if integrands:
-            for name, f in integrands.items():
-                sums[name] += f(t, x) * dt
-        drift = config.drift(t, x)
-        x = x + drift * dt + config.diffusion * np.sqrt(dt) * step_normals(config.seed, k, config.paths, d)
-        if not np.all(np.isfinite(x)):
-            raise FloatingPointError(f"non-finite state at step {k}")
-        t = s + (k + 1) * dt
+    for k in range(K + 1):
+        t = s + k * dt
         while next_mark < len(marks) and marks[next_mark] <= t + 1e-12:
             for name in snaps:
                 snaps[name].append(sums[name].copy())
             next_mark += 1
+        if k == K:
+            break
+        for name, f in integrands.items():
+            sums[name] += f(t, x) * dt
+        # in place: the drift's own array is never written to
+        x += config.drift(t, x) * dt
+        x += increment(k)
+        if not np.all(np.isfinite(x)):
+            raise FloatingPointError(f"non-finite state at step {k}")
         if (k + 1) % stride == 0 or k == K - 1:
             stored.append(x.copy())
-            stored_times.append(t)
+            stored_times.append(s + (k + 1) * dt)
 
     ens = TrajectoryEnsemble(
         config=config,
@@ -314,14 +326,13 @@ def backward_flow_det(ens: TrajectoryEnsemble) -> np.ndarray:
     if cfg.drift.div_fn is None:
         raise ValueError("drift divergence required for the determinant formula")
     s, _ = cfg.start
-    d = ens.dim
     dt = cfg.dt
     y = ens.final_states.copy()
     div_int = np.zeros(cfg.paths)
     for k in range(cfg.n_steps - 1, -1, -1):
         t = s + k * dt
-        dw = cfg.diffusion * np.sqrt(dt) * step_normals(cfg.seed, k, cfg.paths, d)
-        y = y - cfg.drift(t, y) * dt - dw
+        y -= cfg.drift(t, y) * dt
+        y -= _increment(cfg, k)
         div_int += cfg.drift.divergence(t, y) * dt
     return np.exp(-div_int)
 
@@ -399,7 +410,8 @@ def feynman_kac_check(solution, drift: DriftField, f, panel, T: float,
     allowance = disc_constant * (np.sqrt(dt) + grid.h**2)
     worst, worst_se, rows = 0.0, 0.0, []
     for i, (s, x) in enumerate(panel):
-        pde = _interp_solution(solution, s, np.asarray(x, float))
+        k = int(np.argmin(np.abs(grid.times - s)))
+        pde = float(interp_space(grid, np.asarray(x, float), solution.u.values[k][None])[0])
         mc, se = mc_value(s, x, dt, seed + i)
         gap = abs(pde - mc)
         rows.append({"s": s, "x": list(np.atleast_1d(x)), "pde": pde, "mc": mc, "se": se,
@@ -410,26 +422,6 @@ def feynman_kac_check(solution, drift: DriftField, f, panel, T: float,
     return EstimateReport("feynman_kac", worst, worst_se, 3 * worst_se + allowance,
                           disc_constant, bool(passed),
                           {"panel": rows, "allowance": allowance})
-
-
-def _interp_solution(solution, s: float, x: np.ndarray) -> float:
-    grid = solution.u.grid
-    k = int(np.argmin(np.abs(grid.times - s)))
-    slice_ = solution.u.values[k]
-    # multilinear in space on the periodic box
-    pos = (x + grid.extent / 2) / grid.h
-    base = np.floor(pos).astype(int)
-    frac = pos - base
-    val = 0.0
-    d = grid.spatial_dim
-    for corner in range(2**d):
-        w, idx = 1.0, []
-        for ax in range(d):
-            bit = (corner >> ax) & 1
-            w *= frac[ax] if bit else 1 - frac[ax]
-            idx.append((base[ax] + bit) % grid.points_per_axis)
-        val += w * slice_[tuple(idx)]
-    return float(val)
 
 
 # ---------------------------------------------------------------------------
@@ -446,31 +438,30 @@ class ProbeFunction:
 def martingale_defect(drift: DriftField, start, probe: ProbeFunction, t0: float, t1: float,
                       G=None, s: float = 0.0, dt: float = 1e-3, paths: int = 4000,
                       seed: int = 0, bias_constant: float | None = None) -> EstimateReport:
-    """E[(M_{t1} - M_{t0}) G] for M_t = f(X_t) - f(X_s) - int L f(X_r) dr."""
+    """E[(M_{t1} - M_{t0}) G] for M_t = f(X_t) - f(X_s) - int L f(X_r) dr.
+
+    t0 is read at the first step time within dt/2 of it; G defaults to 1.
+    """
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
+    if t0 < s:
+        raise ValueError("t0 must not precede the start time s")
+
+    def lf(t, X):
+        return probe.lap(X) + np.sum(drift(t, X) * probe.grad(X), axis=1)
 
     def run(dt_):
-        cfg = EnsembleConfig(drift, (s, start), t1, dt_, paths, seed, store_stride=1)
-        d = drift.dim
-        x = _start_array(cfg)
-        gen_int = np.zeros(cfg.paths)
-        m_t0 = None
-        g_val = None
-        f0 = probe.f(x)
-        t = s
-        for k in range(cfg.n_steps):
-            if abs(t - t0) < dt_ / 2 and m_t0 is None:
-                m_t0 = probe.f(x) - f0 - gen_int
-                g_val = G(t, x) if G is not None else np.ones(cfg.paths)
-            b = cfg.drift(t, x)
-            gen_int += (probe.lap(x) + np.sum(b * probe.grad(x), axis=1)) * dt_
-            x = x + b * dt_ + cfg.diffusion * np.sqrt(dt_) * step_normals(cfg.seed, k, cfg.paths, d)
-            t = s + (k + 1) * dt_
-        if m_t0 is None:
-            m_t0 = probe.f(x) - f0 - gen_int
-            g_val = G(t, x) if G is not None else np.ones(cfg.paths)
-        m_t1 = probe.f(x) - f0 - gen_int
+        cfg = EnsembleConfig(drift, (s, start), t1, dt_, paths, seed)
+        K = cfg.n_steps
+        k0 = next((k for k in range(K) if abs(s + k * dt_ - t0) < dt_ / 2), K)
+        t = s + k0 * dt_
+        # stride k0 (K if k0 = 0) stores steps 0, k0 and K instead of every step
+        ens = simulate(replace(cfg, store_stride=k0 or K), integrands={"Lf": lf}, integral_marks=[t])
+        x0, x_t0, x_t1 = (np.ascontiguousarray(ens.states[:, i]) for i in (0, min(k0, 1), -1))
+        f0 = probe.f(x0)
+        m_t0 = probe.f(x_t0) - f0 - ens.integrals["Lf@marks"][0]
+        m_t1 = probe.f(x_t1) - f0 - ens.integrals["Lf"]
+        g_val = G(t, x_t0) if G is not None else np.ones(cfg.paths)
         return batch_stats((m_t1 - m_t0) * g_val)
 
     defect, se = run(dt)
@@ -617,20 +608,24 @@ def markov_check(drift: DriftField, start, t0: float, t1: float, f,
 
 
 def refinement_gap(config: EnsembleConfig) -> float:
-    """E|X^{dt} - X^{dt/2}|(T) with both chains on the same Brownian path."""
+    """E|X^{dt} - X^{dt/2}|(T) with both chains on the same Brownian path.
+
+    Coarse step k adds the fine chain's increments 2k and 2k+1.
+    """
     s, _ = config.start
-    d = config.drift.dim
     K = config.n_steps
     dt = config.dt
-    xc = _start_array(config)
-    xf = xc.copy()
-    for k in range(K):
-        z1 = step_normals(config.seed, 2 * k, config.paths, d)
-        z2 = step_normals(config.seed, 2 * k + 1, config.paths, d)
-        t = s + k * dt
-        xf = xf + config.drift(t, xf) * (dt / 2) + config.diffusion * np.sqrt(dt / 2) * z1
-        xf = xf + config.drift(t + dt / 2, xf) * (dt / 2) + config.diffusion * np.sqrt(dt / 2) * z2
-        xc = xc + config.drift(t, xc) * dt + config.diffusion * np.sqrt(dt / 2) * (z1 + z2)
+    d = config.drift.dim
+    coarse = replace(config, store_stride=K)
+    fine = replace(coarse, dt=dt / 2, horizon=s + K * dt)
+    scale = config.diffusion * np.sqrt(dt / 2)
+
+    def coupled(k):
+        return scale * (step_normals(config.seed, 2 * k, config.paths, d)
+                        + step_normals(config.seed, 2 * k + 1, config.paths, d))
+
+    xc = simulate(coarse, increment=coupled).final_states
+    xf = simulate(fine).final_states
     return float(np.sqrt(np.sum((xc - xf) ** 2, axis=1)).mean())
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sdlab.drifts import constant_drift, lattice_drift, radial_drift, zero_drift
+from sdlab.drifts import DriftField, constant_drift, lattice_drift, radial_drift, zero_drift
 from sdlab.grids import GridSpec, SpaceTimeField
 from sdlab.norms import NormSpec
 from sdlab.pde import (
@@ -86,6 +86,17 @@ def test_constant_drift_is_advection():
     )
     # first-order upwinding smears: generous but scale-aware tolerance
     assert np.abs(sol.u.values - exact).max() < 0.05 * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_time_dependent_residual_uses_each_steps_operator(direction):
+    # b = 3 sin 6t changes sign over the window, so every step has its own operator
+    g = GridSpec(1, 2.0, 32, 0.0, 1.0, 50)
+    b = DriftField(1, lambda t, X: np.full_like(X, 3.0 * np.sin(6.0 * t)),
+                   lambda t, X: np.zeros(X.shape[:-1]), mollification_level=1.0)
+    f = SpaceTimeField.from_function(g, lambda t, x: 1.0 + np.cos(np.pi * x))
+    sol = solve(PDEProblem(b, f, g, direction=direction, autonomous=False))
+    assert sol.residual < 1e-10
 
 
 def test_cfl_guard_for_explicit_advection():

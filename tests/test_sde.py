@@ -10,6 +10,7 @@ from sdlab.pde import PDEProblem, build_operator, solve
 from sdlab.sde import (
     EnsembleConfig,
     ProbeFunction,
+    _start_array,
     backward_flow_det,
     batch_stats,
     density_estimate,
@@ -240,6 +241,9 @@ def test_martingale_rejects_bad_window():
     probe = ProbeFunction(lambda X: X[:, 0], lambda X: np.ones_like(X), lambda X: np.zeros(len(X)))
     with pytest.raises(ValueError):
         martingale_defect(OU1, [0.0], probe, 0.4, 0.1, dt=0.01, paths=200, seed=20)
+    # a window opening before the start would compare M_s with itself: defect 0, se 0
+    with pytest.raises(ValueError, match="t0"):
+        martingale_defect(OU1, [0.0], probe, -0.5, 0.1, s=0.0, dt=0.01, paths=200, seed=20)
 
 
 def test_density_gaussian_ks():
@@ -334,3 +338,92 @@ def test_ensemble_save_load_roundtrip(tmp_path):
     assert meta["seed"] == 30 and meta["paths"] == 200
     assert np.array_equal(times, ens.times)
     assert np.array_equal(states, ens.states)
+
+
+# ---------------------------------------------------------------------------
+# martingale_defect and refinement_gap step through simulate; the loops
+# they used to hand-write are kept here as bit-exact references
+
+
+def _martingale_run_reference(drift, start, probe, t0, t1, G, s, dt_, paths, seed):
+    cfg = EnsembleConfig(drift, (s, start), t1, dt_, paths, seed, store_stride=1)
+    d = drift.dim
+    x = _start_array(cfg)
+    gen_int = np.zeros(cfg.paths)
+    m_t0 = None
+    g_val = None
+    f0 = probe.f(x)
+    t = s
+    for k in range(cfg.n_steps):
+        if abs(t - t0) < dt_ / 2 and m_t0 is None:
+            m_t0 = probe.f(x) - f0 - gen_int
+            g_val = G(t, x) if G is not None else np.ones(cfg.paths)
+        b = cfg.drift(t, x)
+        gen_int += (probe.lap(x) + np.sum(b * probe.grad(x), axis=1)) * dt_
+        x = x + b * dt_ + cfg.diffusion * np.sqrt(dt_) * step_normals(cfg.seed, k, cfg.paths, d)
+        t = s + (k + 1) * dt_
+    if m_t0 is None:
+        m_t0 = probe.f(x) - f0 - gen_int
+        g_val = G(t, x) if G is not None else np.ones(cfg.paths)
+    m_t1 = probe.f(x) - f0 - gen_int
+    return batch_stats((m_t1 - m_t0) * g_val)
+
+
+def _refinement_gap_reference(config):
+    s, _ = config.start
+    d = config.drift.dim
+    K = config.n_steps
+    dt = config.dt
+    xc = _start_array(config)
+    xf = xc.copy()
+    for k in range(K):
+        z1 = step_normals(config.seed, 2 * k, config.paths, d)
+        z2 = step_normals(config.seed, 2 * k + 1, config.paths, d)
+        t = s + k * dt
+        xf = xf + config.drift(t, xf) * (dt / 2) + config.diffusion * np.sqrt(dt / 2) * z1
+        xf = xf + config.drift(t + dt / 2, xf) * (dt / 2) + config.diffusion * np.sqrt(dt / 2) * z2
+        xc = xc + config.drift(t, xc) * dt + config.diffusion * np.sqrt(dt / 2) * (z1 + z2)
+    return float(np.sqrt(np.sum((xc - xf) ** 2, axis=1)).mean())
+
+
+_BUMP = ProbeFunction(
+    f=lambda X: np.exp(-np.sum(X**2, axis=1)),
+    grad=lambda X: -2 * X * np.exp(-np.sum(X**2, axis=1))[:, None],
+    lap=lambda X: (4 * np.sum(X**2, axis=1) - 2 * X.shape[1]) * np.exp(-np.sum(X**2, axis=1)),
+)
+
+
+@pytest.mark.parametrize("t0, t1, dt, with_G", [
+    (0.0, 0.3, 0.01, False),  # t0 = s: M_t0 is exactly zero
+    (0.1234, 0.4, 0.01, False),  # off the step grid
+    (0.2, 0.6, 0.08, False),  # tie: |0.24 - 0.2| < 0.04 first at k = 3, round() gives 2
+    (0.2, 0.6, 0.04, False),  # the same tie reached through the run at 2 dt
+    (0.1, 0.4, 0.01, True),
+])
+def test_martingale_defect_matches_reference_loop(t0, t1, dt, with_G):
+    drift = linear_drift(1.0, 2).mollified(1.0)
+    G = (lambda t, X: np.tanh(X[:, 0]) + t) if with_G else None
+    rep = martingale_defect(drift, [0.5, 0.0], _BUMP, t0, t1, G=G, dt=dt, paths=400, seed=31)
+    defect, se = _martingale_run_reference(drift, [0.5, 0.0], _BUMP, t0, t1, G, 0.0, dt, 400, 31)
+    d2, _ = _martingale_run_reference(drift, [0.5, 0.0], _BUMP, t0, t1, G, 0.0, 2 * dt, 400, 31)
+    assert (rep.lhs, rep.se) == (defect, se)
+    assert rep.constant == abs(d2 - defect) / dt + 1.0
+
+
+@pytest.mark.parametrize("drift, start, horizon, dt", [
+    (OU1, [1.0], 0.5, 2.0**-6),
+    (radial_drift(0.5, 2, 0.1), [0.5, 0.0], 0.3, 0.01),
+    (radial_drift(0.5, 2, 0.1), [0.5, 0.0], 0.3, 0.04),  # horizon off the dt/2 grid
+])
+def test_refinement_gap_matches_reference_loop(drift, start, horizon, dt):
+    cfg = EnsembleConfig(drift, (0.0, start), horizon, dt, 300, 33)
+    assert refinement_gap(cfg) == _refinement_gap_reference(cfg)
+
+
+def test_simulate_mark_at_start_snapshots_zero():
+    cfg = EnsembleConfig(OU1, (0.0, [1.0]), 0.1, 0.01, 200, 32)
+    ens = simulate(cfg, integrands={"one": lambda t, X: np.ones(len(X))},
+                   integral_marks=[0.0, 0.05, 0.1])
+    snaps = ens.integrals["one@marks"]
+    assert np.array_equal(snaps[0], np.zeros(200))
+    np.testing.assert_allclose(snaps[1:], [[0.05] * 200, [0.1] * 200], rtol=1e-12)
