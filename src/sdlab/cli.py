@@ -184,6 +184,30 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _null_nonfinite(rec: dict) -> dict:
+    """``rec`` with each NaN or infinity as None, their key paths listed under "nonfinite".
+
+    Keeps reports.jsonl and manifest.json strict JSON; a finite record is
+    returned unchanged, so its bytes do not move.
+    """
+    found = []
+
+    def clean(v, path):
+        if isinstance(v, (float, np.floating)) and not np.isfinite(v):
+            found.append(path)
+            return None
+        if isinstance(v, dict):
+            return {k: clean(x, f"{path}.{k}" if path else str(k)) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [clean(x, f"{path}[{i}]") for i, x in enumerate(v)]
+        return v
+
+    out = clean(rec, "")
+    if found:
+        out["nonfinite"] = found
+    return out
+
+
 def _run_config(cfg: dict, outdir: Path) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     grid = _build_grid(cfg)
@@ -204,7 +228,7 @@ def _run_config(cfg: dict, outdir: Path) -> dict:
     reports = []
 
     def stage(name, status, **extra):
-        manifest["stages"].append({"stage": name, "status": status, **extra})
+        manifest["stages"].append(_null_nonfinite({"stage": name, "status": status, **extra}))
 
     def artifact(name, path: Path):
         manifest["artifacts"][name] = {"path": str(path), "sha256": _sha256(path)}
@@ -246,20 +270,20 @@ def _run_config(cfg: dict, outdir: Path) -> dict:
         stage("ensemble", "ok", paths=e["paths"])
 
     for v in cfg.get("verifiers", []) or []:
-        rep = _run_verifier(v, cfg, grid, mollified, source, solution, sweep_report,
-                            ensemble, seed, diffusion)
+        rep = _null_nonfinite(_run_verifier(v, cfg, grid, mollified, source, solution,
+                                            sweep_report, ensemble, seed, diffusion))
         reports.append(rep)
         manifest["verifiers"].append(rep)
 
     rpath = outdir / "reports.jsonl"
     with open(rpath, "w") as fh:
         for rep in reports:
-            fh.write(json.dumps(rep, default=float) + "\n")
+            fh.write(json.dumps(rep, default=float, allow_nan=False) + "\n")
     artifact("reports", rpath)
 
     manifest["all_passed"] = all(r.get("passed", False) for r in reports) if reports else True
     mpath = outdir / "manifest.json"
-    mpath.write_text(json.dumps(manifest, indent=2, default=float))
+    mpath.write_text(json.dumps(manifest, indent=2, default=float, allow_nan=False))
     return manifest
 
 

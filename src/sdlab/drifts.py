@@ -20,7 +20,7 @@ from sdlab.norms import (
     localized_norm,
     mixed_norm,
     smooth_transition,
-    smooth_transition_deriv,
+    smooth_transition_with_deriv,
     spatial_gradient,
 )
 
@@ -138,8 +138,9 @@ def _phi(rho):
     return smooth_transition(rho, 1.0, 2.0)
 
 
-def _phi_prime(rho):
-    return smooth_transition_deriv(rho, 1.0, 2.0)
+def _phi_and_prime(rho):
+    """(_phi, its derivative) from one evaluation of the profile."""
+    return smooth_transition_with_deriv(rho, 1.0, 2.0)
 
 
 def lattice_drift(
@@ -204,7 +205,8 @@ def lattice_drift(
             rho = np.sqrt(rho2)
             with np.errstate(divide="ignore", invalid="ignore"):
                 g = u ** (-a / 2.0)
-                term = g * ((d - a * rho2 / u) * _phi(rho) + rho * _phi_prime(rho))
+                phi, dphi = _phi_and_prime(rho)
+                term = g * ((d - a * rho2 / u) * phi + rho * dphi)
             out += gamma * term
         return out
 

@@ -39,6 +39,15 @@ def smooth_transition(s, lo, hi):
     return _transition(s, lo, hi)[1]
 
 
+def smooth_transition_with_deriv(s, lo, hi):
+    """(smooth_transition, smooth_transition_deriv) from one profile evaluation."""
+    u, phi = _transition(s, lo, hi)
+    slope = phi * (1.0 - phi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = slope * (1.0 / (u * u) + 1.0 / ((1.0 - u) * (1.0 - u))) / (lo - hi)
+    return phi, np.where(slope > 0.0, out, 0.0)
+
+
 def smooth_transition_deriv(s, lo, hi):
     """d/ds of smooth_transition in closed form; 0 outside (lo, hi).
 
@@ -47,11 +56,7 @@ def smooth_transition_deriv(s, lo, hi):
     Where phi (1 - phi) is 0 in floating point the derivative is 0 too,
     which also covers the clipped ends.
     """
-    u, phi = _transition(s, lo, hi)
-    slope = phi * (1.0 - phi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = slope * (1.0 / (u * u) + 1.0 / ((1.0 - u) * (1.0 - u))) / (lo - hi)
-    return np.where(slope > 0.0, out, 0.0)
+    return smooth_transition_with_deriv(s, lo, hi)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,18 @@
 Ensembles are driven by a counter-based generator keyed by (seed, step),
 so increments can be regenerated on demand (backward flows, refinement
 couplings) instead of stored, and results are independent of evaluation
-order.  Time integrals of path functionals use left-endpoint Riemann
-sums, which makes the f == 1 identities exact rather than approximate.
+order.  Large steps are cut into row blocks with their own counters and
+filled on all cores; the stream depends on the block size, never on the
+number of threads.  Time integrals of path functionals use left-endpoint
+Riemann sums, which makes the f == 1 identities exact rather than
+approximate.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
+import os
 import struct
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -23,10 +28,57 @@ from sdlab.grids import interp_space
 SQRT2 = np.sqrt(2.0)
 
 
+# rows per noise block, at most; a step of up to this many paths is one block
+BLOCK_ROWS = 2**15
+_POOL = None
+
+
+def _pool() -> concurrent.futures.ThreadPoolExecutor:
+    global _POOL
+    if _POOL is None:
+        # the cores this process may run on (sched_getaffinity is Linux-only)
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        _POOL = concurrent.futures.ThreadPoolExecutor(cores or 1)
+    return _POOL
+
+
+def _forget_pool():
+    # a forked child inherits the executor but not its threads
+    global _POOL
+    _POOL = None
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _fill_block(seed: int, step: int, block: int, out: np.ndarray) -> None:
+    bits = np.random.Philox(key=[np.uint64(seed), np.uint64(step)], counter=[0, 0, 0, block])
+    np.random.Generator(bits).standard_normal(out=out)
+
+
 def step_normals(seed: int, step: int, paths: int, dim: int) -> np.ndarray:
-    """Standard normal increments for one step, reproducible by key."""
-    gen = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(step)]))
-    return gen.standard_normal((paths, dim))
+    """Standard normal increments for one step, reproducible by key.
+
+    The rows are cut into ceil(paths / BLOCK_ROWS) near-equal blocks;
+    block b is the Philox stream keyed by (seed, step) from counter b in
+    its top word, so block 0 is the unsplit stream.  Blocks run on the
+    module's thread pool (numpy releases the GIL while filling).  The
+    workers call numpy only, so a profiler keeping one span stack per
+    thread sees the whole draw inside this call.
+    """
+    out = np.empty((paths, dim))
+    nb = -(-paths // BLOCK_ROWS)
+    if nb <= 1:
+        _fill_block(seed, step, 0, out)
+        return out
+    edges = [b * paths // nb for b in range(nb + 1)]
+    pool = _pool()
+    futures = [pool.submit(_fill_block, seed, step, b, out[edges[b]:edges[b + 1]])
+               for b in range(nb)]
+    for fut in futures:
+        fut.result()
+    return out
 
 
 def batch_stats(values: np.ndarray, n_batches: int = 20):
@@ -111,7 +163,9 @@ def _start_array(config: EnsembleConfig) -> np.ndarray:
 
 def _increment(config: EnsembleConfig, k: int) -> np.ndarray:
     """Brownian increment of step k: diffusion * sqrt(dt) * N(0, I), keyed by (seed, k)."""
-    return config.diffusion * np.sqrt(config.dt) * step_normals(config.seed, k, config.paths, config.drift.dim)
+    z = step_normals(config.seed, k, config.paths, config.drift.dim)
+    z *= config.diffusion * np.sqrt(config.dt)
+    return z
 
 
 def simulate(config: EnsembleConfig, integrands: dict | None = None,

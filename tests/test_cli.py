@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -8,6 +9,7 @@ from click.testing import CliRunner
 from sdlab.cli import (
     SCENARIOS,
     ConfigError,
+    _null_nonfinite,
     main,
     validate_config_data,
 )
@@ -160,3 +162,40 @@ def test_bump_source_outside_2d(runner, tmp_path, dim):
     assert result.exit_code == 0, result.output
     solution = read_field(out / "solution.sdlf")
     assert solution.values.shape == (5,) + (8,) * dim
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.filterwarnings("ignore:All-NaN slice")
+def test_failed_theta_fit_writes_strict_json(runner, tmp_path):
+    cfg = {
+        "schema_version": 1,
+        "name": "krylov-one-delta",
+        "seed": 3,
+        "grid": {"dim": 2, "extent": 4.0, "points": 8, "t0": 0.0, "t1": 0.2, "steps": 4},
+        "drift": {"kind": "zero"},
+        "ensemble": {"start": [0.0, 0.0], "s": 0.0, "horizon": 0.1, "dt": 0.01,
+                     "paths": 200, "store_stride": 10},
+        "verifiers": [{"name": "krylov", "deltas": [0.1]}],  # one delta: theta cannot be fitted
+    }
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "o"
+    result = runner.invoke(main, ["run", "--config", str(path), "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    lines = (out / "reports.jsonl").read_text().splitlines()
+    rep = json.loads(lines[0], parse_constant=_reject_constant)
+    assert rep["meta_theta"] is None and not rep["passed"]
+    assert rep["nonfinite"] == ["rhs", "constant", "meta_theta", "meta_uniform_ratio"]
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
+    assert manifest["verifiers"] == [rep]
+
+
+def test_null_nonfinite_paths_and_finite_records():
+    rec = {"a": 1.5, "b": [np.float32("inf"), {"c": np.nan, "d": 2}], "e": -np.inf}
+    assert _null_nonfinite(rec) == {"a": 1.5, "b": [None, {"c": None, "d": 2}], "e": None,
+                                    "nonfinite": ["b[0]", "b[1].c", "e"]}
+    finite = {"x": 0.1, "y": [1, 2.5], "z": {"w": True}}
+    assert json.dumps(_null_nonfinite(finite)) == json.dumps(finite)

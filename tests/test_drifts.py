@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sdlab import drifts, norms
 from sdlab.drifts import (
     check_admissibility,
     constant_drift,
@@ -91,6 +92,20 @@ def test_lattice_drift_divergence_vs_finite_difference():
         e[ax] = h
         div_fd += (b(0.0, X + e)[:, ax] - b(0.0, X - e)[:, ax]) / (2 * h)
     assert np.allclose(div_fd, b.divergence(0.0, X), atol=1e-5)
+
+
+def test_lattice_divergence_one_profile_call_per_spike(monkeypatch):
+    b = lattice_drift(1.0, 1.5, 2, seed=3, eps=0.2)
+    X = np.random.default_rng(4).uniform(-3, 3, (2000, 2))
+    X[:2] = [[0.0, 0.0], [1.0, 0.0]]  # rho = 0 at one spike, rho = 1 at its neighbours
+    calls = []
+    transition = norms._transition
+    monkeypatch.setattr(norms, "_transition", lambda *a: calls.append(a) or transition(*a))
+    div = b.divergence(0.0, X)
+    assert len(calls) == 16  # one profile evaluation per spike of the 4 x 4 cell
+    monkeypatch.setattr(drifts, "_phi_and_prime", lambda rho: (
+        smooth_transition(rho, 1.0, 2.0), smooth_transition_deriv(rho, 1.0, 2.0)))
+    assert np.array_equal(div, b.divergence(0.0, X))
 
 
 def test_lattice_rejects_too_singular():

@@ -20,6 +20,7 @@ from sdlab.norms import (
     mollify,
     smooth_transition,
     smooth_transition_deriv,
+    smooth_transition_with_deriv,
     spacetime_norm,
     spatial_gradient,
     vnorm,
@@ -79,6 +80,13 @@ def test_smooth_transition_deriv_closed_form(lo, hi):
     central4 = (-st(s + 2 * h) + 8 * st(s + h) - 8 * st(s - h) + st(s - 2 * h)) / (12 * h)
     # truncation h^4 f^(5) / 30 is below 1e-8 for widths >= 1
     np.testing.assert_allclose(smooth_transition_deriv(s, lo, hi), central4, rtol=0, atol=1e-8)
+
+
+def test_smooth_transition_with_deriv_is_the_pair():
+    s = np.concatenate([np.linspace(0.0, 3.0, 3001), [1.0, 2.0, np.nextafter(1.0, 2.0), -np.inf, np.inf]])
+    phi, dphi = smooth_transition_with_deriv(s, 1.0, 2.0)
+    assert np.array_equal(phi, smooth_transition(s, 1.0, 2.0))
+    assert np.array_equal(dphi, smooth_transition_deriv(s, 1.0, 2.0))
 
 
 def test_norm_spec_validation():

@@ -1,9 +1,15 @@
+import concurrent.futures
+import hashlib
+import multiprocessing
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 import scipy.stats
 
+from sdlab import sde
 from sdlab.drifts import linear_drift, load_external, radial_drift, zero_drift
 from sdlab.grids import GridSpec, SpaceTimeField, write_field
 from sdlab.pde import PDEProblem, build_operator, solve
@@ -427,3 +433,117 @@ def test_simulate_mark_at_start_snapshots_zero():
     snaps = ens.integrals["one@marks"]
     assert np.array_equal(snaps[0], np.zeros(200))
     np.testing.assert_allclose(snaps[1:], [[0.05] * 200, [0.1] * 200], rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# block noise: rows cut into near-equal blocks keyed by (seed, step, block)
+
+# sha256 of step_normals(1, 0, 100_000, 3): four 25 000-row blocks.  A
+# change to this digest is a change to every large ensemble's noise.
+STEP_NORMALS_GOLDEN = "b4921879a82d608932f00c3a9ff5c7a0f58528d53470a3cfcb072c9717f65a5b"
+
+
+def _philox_block(seed, step, block, rows, dim):
+    bits = np.random.Philox(key=[seed, step], counter=[0, 0, 0, block])
+    return np.random.Generator(bits).standard_normal((rows, dim))
+
+
+def _serial_blocks_3_4():
+    """step_normals(3, 4, 1000, 2) at BLOCK_ROWS = 128: 8 equal blocks of 125, not 7 x 128 + 104."""
+    return np.concatenate([_philox_block(3, 4, b, 125, 2) for b in range(8)])
+
+
+@pytest.fixture
+def noise_pool(monkeypatch):
+    """``use(n)`` runs step_normals' blocks on a fresh pool of n threads."""
+    pools = []
+
+    def use(workers):
+        pools.append(concurrent.futures.ThreadPoolExecutor(workers))
+        monkeypatch.setattr(sde, "_POOL", pools[-1])
+
+    yield use
+    for pool in pools:
+        pool.shutdown()
+
+
+@pytest.mark.parametrize("paths", [100, 1000, sde.BLOCK_ROWS])
+def test_block_noise_single_block_is_unsplit_stream(paths):
+    unsplit = np.random.Generator(np.random.Philox(key=[5, 17])).standard_normal((paths, 3))
+    assert np.array_equal(step_normals(5, 17, paths, 3), unsplit)
+
+
+def test_block_noise_first_block_is_unsplit_prefix():
+    paths = sde.BLOCK_ROWS + 2  # two blocks of BLOCK_ROWS / 2 + 1 rows
+    unsplit = np.random.Generator(np.random.Philox(key=[5, 17])).standard_normal((paths, 3))
+    z = step_normals(5, 17, paths, 3)
+    half = paths // 2
+    assert np.array_equal(z[:half], unsplit[:half])
+    assert np.array_equal(z[half:], _philox_block(5, 17, 1, half, 3))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_block_noise_matches_serial_blocks(monkeypatch, noise_pool, workers):
+    monkeypatch.setattr(sde, "BLOCK_ROWS", 128)
+    noise_pool(workers)
+    reference = _serial_blocks_3_4()
+    for _ in range(20):  # a completion-order fault shows only on some runs
+        assert np.array_equal(step_normals(3, 4, 1000, 2), reference)
+
+
+class _LastFirstPool:
+    """Delays the k-th submitted block by (8 - k) ticks, so 8 blocks start last first."""
+
+    def __init__(self, pool):
+        self.pool = pool
+        self.submitted = 0
+
+    def submit(self, fn, *args):
+        delay = 0.005 * (8 - self.submitted)
+        self.submitted += 1
+        return self.pool.submit(lambda: (time.sleep(delay), fn(*args))[1])
+
+
+def test_block_noise_does_not_depend_on_start_order(monkeypatch, noise_pool):
+    monkeypatch.setattr(sde, "BLOCK_ROWS", 128)
+    noise_pool(8)
+    monkeypatch.setattr(sde, "_POOL", _LastFirstPool(sde._POOL))
+    assert np.array_equal(step_normals(3, 4, 1000, 2), _serial_blocks_3_4())
+
+
+def test_block_noise_results_do_not_depend_on_workers(monkeypatch, noise_pool):
+    monkeypatch.setattr(sde, "BLOCK_ROWS", 128)
+    drift = radial_drift(0.5, 2, 0.1)
+    cfg = EnsembleConfig(drift, (0.0, [0.5, 0.0]), 0.1, 0.01, 1000, 8, store_stride=5)
+    out = []
+    for workers in (1, 2):
+        noise_pool(workers)
+        out.append((simulate(cfg).states, refinement_gap(cfg)))
+    assert np.array_equal(out[0][0], out[1][0])
+    assert out[0][1] == out[1][1]
+
+
+def test_block_noise_golden_digest():
+    z = step_normals(1, 0, 100_000, 3)
+    assert z.shape == (100_000, 3)
+    assert hashlib.sha256(z.tobytes()).hexdigest() == STEP_NORMALS_GOLDEN
+
+
+def test_block_noise_pool_reset_in_forked_child(monkeypatch):
+    monkeypatch.setattr(sde, "BLOCK_ROWS", 128)
+    expected = step_normals(3, 4, 1000, 2)  # the parent's pool now has threads
+    recv, send = multiprocessing.Pipe(duplex=False)
+
+    def child():
+        send.send(step_normals(3, 4, 1000, 2))
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    got = recv.recv() if recv.poll(30) else None
+    proc.join(timeout=30)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
+    assert got is not None, "forked child never drew its noise"
+    assert np.array_equal(got, expected)
+    assert proc.exitcode == 0
