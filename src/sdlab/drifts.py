@@ -31,7 +31,8 @@ class DriftField:
 
     ``eval_fn(t, X)`` takes X of shape (..., d) and returns the same
     shape; ``div_fn`` returns shape (...).  ``mollifier(eps)`` builds
-    the field regularized at scale eps > 0.
+    the field regularized at scale eps > 0.  A solver freezes the field
+    at its first time unless ``time_dependent`` is set.
     """
 
     dim: int
@@ -42,6 +43,7 @@ class DriftField:
     singular_distance: Callable | None = None
     metadata: dict = field(default_factory=dict)
     mollifier: Callable | None = None
+    time_dependent: bool = False
 
     def __call__(self, t, X) -> np.ndarray:
         return np.asarray(self.eval_fn(t, np.asarray(X, dtype=np.float64)))
@@ -347,6 +349,7 @@ def load_external(path, grid: GridSpec | None = None, divergence_path=None) -> D
             "energy_linf_l2": float(l2.max()),
             "energy_grad_l2l2": grad_l2l2,
         },
+        time_dependent=bool(np.any(fld.values != fld.values[:1])),
     )
     b.mollifier = lambda e: b
     return b

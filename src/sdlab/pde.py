@@ -37,7 +37,6 @@ class PDEProblem:
     source: SpaceTimeField
     grid: GridSpec
     direction: str = "forward"  # forward: u(t0)=0; backward: u(t1)=0
-    autonomous: bool = True
 
     def __post_init__(self):
         if self.direction not in ("forward", "backward"):
@@ -54,6 +53,10 @@ class PDEProblem:
 class SolverConfig:
     scheme: str = "implicit"  # implicit | cn | imex
     check_cfl: bool = True
+
+    def __post_init__(self):
+        if self.scheme not in ("implicit", "cn", "imex"):
+            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 @dataclass
@@ -113,7 +116,9 @@ def solve(problem: PDEProblem, config: SolverConfig | None = None) -> SolutionBu
     """March the problem over the grid's time interval.
 
     The backward problem is reduced to the forward one by the
-    substitution t -> T - t (drift and source time-reversed).
+    substitution t -> T - t (drift and source time-reversed).  A drift
+    marked ``time_dependent`` is sampled at every step; any other at the
+    first step only.
     """
     config = config or SolverConfig()
     grid = problem.grid
@@ -139,39 +144,32 @@ def solve(problem: PDEProblem, config: SolverConfig | None = None) -> SolutionBu
                 f"explicit advection violates CFL: |b|max*dt/h = {bmax * dt / grid.h:.3g} > 1"
             )
 
-    A = build_operator(grid, b0)
     ident = sp.identity(n, format="csr")
-    if config.scheme == "implicit":
-        M = (ident - dt * A).tocsc()
-    elif config.scheme == "cn":
-        M = (ident - 0.5 * dt * A).tocsc()
-        Mexp = ident + 0.5 * dt * A
-    elif config.scheme == "imex":
+    if config.scheme == "imex":
         lap = build_operator(grid, np.zeros_like(b0))
-        M = (ident - dt * lap).tocsc()
-        Aadv = A - lap
-    else:
-        raise ValueError(f"unknown scheme {config.scheme!r}")
-    lu = spla.splu(M)
+        lu_lap = spla.splu((ident - dt * lap).tocsc())
 
+    def step_operators(b):
+        """(A, factored implicit matrix, explicit matrix) of one step with drift samples b."""
+        A = build_operator(grid, b)
+        if config.scheme == "implicit":
+            return A, spla.splu((ident - dt * A).tocsc()), None
+        if config.scheme == "cn":
+            return A, spla.splu((ident - 0.5 * dt * A).tocsc()), ident + 0.5 * dt * A
+        return A, lu_lap, A - lap
+
+    A, lu, E = step_operators(b0)
     u = np.zeros((grid.nt, n))
     residual = 0.0
     for k in range(grid.time_steps):
-        if not problem.autonomous:
-            A = build_operator(grid, drift_at(k))
-            if config.scheme == "implicit":
-                lu = spla.splu((ident - dt * A).tocsc())
-            elif config.scheme == "cn":
-                lu = spla.splu((ident - 0.5 * dt * A).tocsc())
-                Mexp = ident + 0.5 * dt * A
-            else:
-                Aadv = A - lap
+        if k > 0 and problem.drift.time_dependent:
+            A, lu, E = step_operators(drift_at(k))
         if config.scheme == "implicit":
             rhs = u[k] + dt * fvals[k]
         elif config.scheme == "cn":
-            rhs = Mexp @ u[k] + dt * 0.5 * (fvals[k] + fvals[k + 1])
+            rhs = E @ u[k] + dt * 0.5 * (fvals[k] + fvals[k + 1])
         else:
-            rhs = u[k] + dt * (Aadv @ u[k] + fvals[k])
+            rhs = u[k] + dt * (E @ u[k] + fvals[k])
         u[k + 1] = lu.solve(rhs)
         if config.scheme == "implicit":
             # discrete defect of this step's implicit relation (solver
@@ -294,6 +292,14 @@ def energy_monitor(
 # Mollification stability sweep
 
 
+def check_eps_levels(eps_levels) -> list:
+    """``eps_levels`` as a list; ValueError unless positive and strictly decreasing."""
+    levels = list(eps_levels)
+    if not levels or min(levels) <= 0 or any(b >= a for a, b in zip(levels, levels[1:])):
+        raise ValueError("eps_levels must be positive and strictly decreasing")
+    return levels
+
+
 def stability_sweep(
     base_drift: DriftField,
     eps_levels,
@@ -307,9 +313,7 @@ def stability_sweep(
     Distances are L^2 norms of consecutive differences on the central
     compact sub-box |x_i| <= L/4, time in [t0, t1].
     """
-    eps_levels = list(eps_levels)
-    if any(e2 >= e1 for e1, e2 in zip(eps_levels, eps_levels[1:])):
-        raise ValueError("mollification levels must be strictly decreasing")
+    eps_levels = check_eps_levels(eps_levels)
     sols = []
     for eps in eps_levels:
         prob = PDEProblem(base_drift.mollified(eps), source, grid, direction)

@@ -1,4 +1,6 @@
+import copy
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -35,12 +37,23 @@ def test_list_scenarios(runner):
         assert name in result.output
 
 
-def test_validate_config_accepts_scenario_dump(runner, tmp_path):
+def _artifact_hashes(outdir):
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    return {name: art["sha256"] for name, art in manifest["artifacts"].items()}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_validate_config_accepts_scenario_dump(runner, tmp_path, name):
     path = tmp_path / "good.yaml"
-    path.write_text(yaml.safe_dump(SCENARIOS["brownian-baseline"]))
+    path.write_text(yaml.safe_dump(SCENARIOS[name]))
     result = runner.invoke(main, ["validate-config", str(path)])
     assert result.exit_code == 0
     assert "ok" in result.output
+    # --config and --scenario are one code path: the same artifacts, bit for bit
+    codes = [runner.invoke(main, ["run", *how, "--out", str(tmp_path / out)]).exit_code
+             for how, out in [(["--config", str(path)], "c"), (["--scenario", name], "s")]]
+    assert codes[0] == codes[1] == (1 if name == "unit-diffusion-control" else 0)
+    assert _artifact_hashes(tmp_path / "c") == _artifact_hashes(tmp_path / "s")
 
 
 def test_validate_config_rejects_unknown_key(runner, tmp_path):
@@ -136,11 +149,9 @@ def test_unknown_verifier_reported_failed(runner, tmp_path):
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump(cfg))
     result = runner.invoke(main, ["run", "--config", str(path), "--out", str(tmp_path / "o")])
-    assert result.exit_code == 1
-    reports = (tmp_path / "o" / "reports.jsonl").read_text().splitlines()
-    rep = json.loads(reports[0])
-    assert not rep["passed"]
-    assert "unknown verifier" in rep["error"]
+    assert result.exit_code == 2
+    assert "unknown verifier" in result.output
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("dim", [1, 3])
@@ -168,17 +179,18 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-@pytest.mark.filterwarnings("ignore:All-NaN slice")
 def test_failed_theta_fit_writes_strict_json(runner, tmp_path):
     cfg = {
         "schema_version": 1,
-        "name": "krylov-one-delta",
+        "name": "khasminskii-overflow",
         "seed": 3,
         "grid": {"dim": 2, "extent": 4.0, "points": 8, "t0": 0.0, "t1": 0.2, "steps": 4},
         "drift": {"kind": "zero"},
+        "source": {"kind": "ones"},
         "ensemble": {"start": [0.0, 0.0], "s": 0.0, "horizon": 0.1, "dt": 0.01,
                      "paths": 200, "store_stride": 10},
-        "verifiers": [{"name": "krylov", "deltas": [0.1]}],  # one delta: theta cannot be fitted
+        # exp(1000 * 1) overflows: the report carries inf and NaN
+        "verifiers": [{"name": "khasminskii", "lambda": 1000}],
     }
     path = tmp_path / "cfg.yaml"
     path.write_text(yaml.safe_dump(cfg))
@@ -187,8 +199,8 @@ def test_failed_theta_fit_writes_strict_json(runner, tmp_path):
     assert result.exit_code == 1, result.output
     lines = (out / "reports.jsonl").read_text().splitlines()
     rep = json.loads(lines[0], parse_constant=_reject_constant)
-    assert rep["meta_theta"] is None and not rep["passed"]
-    assert rep["nonfinite"] == ["rhs", "constant", "meta_theta", "meta_uniform_ratio"]
+    assert rep["lhs"] is None and rep["constant"] is None and not rep["passed"]
+    assert rep["nonfinite"] == ["lhs", "se", "rhs", "constant"]
     manifest = json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
     assert manifest["verifiers"] == [rep]
 
@@ -199,3 +211,96 @@ def test_null_nonfinite_paths_and_finite_records():
                                     "nonfinite": ["b[0]", "b[1].c", "e"]}
     finite = {"x": 0.1, "y": [1, 2.5], "z": {"w": True}}
     assert json.dumps(_null_nonfinite(finite)) == json.dumps(finite)
+
+
+def _probe(change):
+    cfg = copy.deepcopy(SCENARIOS["brownian-baseline"])
+    change(cfg)
+    return cfg
+
+
+# brownian-baseline with one fault each, and the words the rejection must name
+PROBES = {
+    "points-30": (lambda c: c["grid"].update(points=30), ["grid", "points", "30"]),
+    "radial-without-c": (lambda c: c.update(drift={"kind": "radial"}), ["drift", "'c'"]),
+    "tolerance": (lambda c: c["verifiers"][0].update(tolerance=0.1), ["verifiers[0]", "tolerance"]),
+    "no-dt": (lambda c: c["ensemble"].pop("dt"), ["ensemble", "'dt'"]),
+    "no-ensemble": (lambda c: c.pop("ensemble"), ["ensemble", "brownian-variance"]),
+    "spiral": (lambda c: c["drift"].update(kind="spiral"), ["drift", "spiral"]),
+    "implcit": (lambda c: c["pde"].update(scheme="implcit"), ["pde", "scheme"]),
+    "one-delta": (lambda c: c["verifiers"].append({"name": "krylov", "deltas": [0.1]}),
+                  ["verifiers[4]", "deltas"]),
+    "3d-start": (lambda c: c["ensemble"].update(start=[0.0, 0.0, 0.0]), ["ensemble", "start"]),
+    "off-grid-horizon": (lambda c: c["ensemble"].update(horizon=0.3, dt=0.04),
+                         ["ensemble", "horizon", "dt"]),
+    "paths-string": (lambda c: c["ensemble"].update(paths="400"), ["ensemble", "paths"]),
+    "unknown-top-level": (lambda c: c.update(typo=1), ["config", "typo"]),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(PROBES))
+def test_bad_config_rejected_before_run(runner, tmp_path, probe):
+    change, words = PROBES[probe]
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(_probe(change)))
+    for args in (["validate-config", str(path)],
+                 ["run", "--config", str(path), "--out", str(tmp_path / "o")]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        message = result.output.splitlines()[-1]
+        assert message.startswith("invalid: ")
+        for word in words:
+            assert word in message
+    assert not (tmp_path / "o").exists()
+
+
+
+# value checks the loader makes besides the twelve probes
+VALUE_FAULTS = {
+    "negative-seed": (lambda c: c.update(seed=-1), "seed"),
+    "store-stride-0": (lambda c: c["ensemble"].update(store_stride=0), "store_stride"),
+    "nan-dt": (lambda c: c["ensemble"].update(dt=float("nan")), "ensemble.dt"),
+    "bool-points": (lambda c: c["grid"].update(points=True), "grid.points"),
+    "markov-t0-after-t1": (lambda c: c["verifiers"].append({"name": "markov", "t0": 0.4, "t1": 0.2}),
+                           "t0"),
+    "bump-width-0": (lambda c: c.update(source={"kind": "bump", "width": 0}), "width"),
+    "constant-1d-on-2d": (lambda c: c.update(drift={"kind": "constant", "value": [1.0]}), "value"),
+    "external-missing": (lambda c: c.update(drift={"kind": "external", "path": "no/such.sdlf"}),
+                         "path"),
+    "rising-ladder": (lambda c: c.update(sweep={"eps_levels": [0.1, 0.2]}), "eps_levels"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(VALUE_FAULTS))
+def test_value_faults_rejected_at_load(fault):
+    change, word = VALUE_FAULTS[fault]
+    with pytest.raises(ConfigError, match=re.escape(word)):
+        validate_config_data(_probe(change))
+
+def test_config_hash_covers_resolved_config(runner, tmp_path):
+    terse = {
+        "schema_version": 1,
+        "grid": {"dim": 2, "extent": 4, "points": 8, "t0": 0, "t1": 0.1, "steps": 4},
+        "drift": {"kind": "zero"},
+        "pde": {},
+        "ensemble": {"start": [0, 0], "s": 0, "horizon": 0.1, "dt": 0.01, "paths": 200},
+        "verifiers": [{"name": "max-principle"}],
+    }
+    explicit = copy.deepcopy(terse)
+    explicit.update(name="unnamed", seed=0, source={"kind": "ones"})
+    explicit["pde"].update(direction="backward", scheme="implicit")
+    explicit["ensemble"].update(store_stride=1, start=[0.0, 0.0])
+    changed = copy.deepcopy(terse)
+    changed["ensemble"]["paths"] = 201
+
+    def config_hash(cfg, name):
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        result = runner.invoke(main, ["run", "--config", str(path), "--out", str(tmp_path / name)])
+        assert result.exit_code == 0, result.output
+        return json.loads((tmp_path / name / "manifest.json").read_text())["config_hash"]
+
+    terse_hash = config_hash(terse, "terse")
+    assert config_hash(explicit, "explicit") == terse_hash
+    assert config_hash(changed, "changed") != terse_hash

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from sdlab.drifts import DriftField, constant_drift, lattice_drift, radial_drift, zero_drift
-from sdlab.grids import GridSpec, SpaceTimeField
+from sdlab.drifts import (
+    DriftField,
+    constant_drift,
+    lattice_drift,
+    load_external,
+    radial_drift,
+    zero_drift,
+)
+from sdlab.grids import GridSpec, SpaceTimeField, write_field
 from sdlab.norms import NormSpec
 from sdlab.pde import (
     CFLError,
@@ -79,7 +86,7 @@ def test_constant_drift_is_advection():
     g = GridSpec(1, 2.0, 128, 0.0, 0.1, 400)
     v = 1.0
     f = SpaceTimeField.from_function(g, lambda t, x: np.sin(2 * np.pi * (x + v * t) / 2.0))
-    sol = solve(PDEProblem(constant_drift([v]).mollified(1.0), f, g, autonomous=False))
+    sol = solve(PDEProblem(constant_drift([v]).mollified(1.0), f, g))
     lam = (2 * np.pi / 2.0) ** 2
     exact = (1 - np.exp(-lam * g.times[:, None])) / lam * np.sin(
         2 * np.pi * (g.axis[None] + v * g.times[:, None]) / 2.0
@@ -93,10 +100,43 @@ def test_time_dependent_residual_uses_each_steps_operator(direction):
     # b = 3 sin 6t changes sign over the window, so every step has its own operator
     g = GridSpec(1, 2.0, 32, 0.0, 1.0, 50)
     b = DriftField(1, lambda t, X: np.full_like(X, 3.0 * np.sin(6.0 * t)),
-                   lambda t, X: np.zeros(X.shape[:-1]), mollification_level=1.0)
+                   lambda t, X: np.zeros(X.shape[:-1]), mollification_level=1.0,
+                   time_dependent=True)
     f = SpaceTimeField.from_function(g, lambda t, x: 1.0 + np.cos(np.pi * x))
-    sol = solve(PDEProblem(b, f, g, direction=direction, autonomous=False))
+    sol = solve(PDEProblem(b, f, g, direction=direction))
     assert sol.residual < 1e-10
+
+
+def test_external_time_dependent_drift_is_not_frozen(tmp_path):
+    # b = (3 sin 6t, 0) read from a file: the solver must step with each slice, unasked
+    g = GridSpec(2, 2.0, 16, 0.0, 1.0, 50)
+    f = SpaceTimeField.from_function(g, lambda t, x, y: 1.0 + np.cos(np.pi * x))
+    vel = SpaceTimeField.from_vector_function(
+        g, lambda t, x, y: [np.full_like(x, 3.0 * np.sin(6.0 * t)), np.zeros_like(x)])
+    write_field(tmp_path / "b.sdlf", vel)
+    b = load_external(tmp_path / "b.sdlf")
+    assert b.time_dependent
+    u = solve(PDEProblem(b, f, g)).u.values
+
+    def analytic(time_dependent):
+        def ev(t, X):
+            out = np.zeros_like(X)
+            out[..., 0] = 3.0 * np.sin(6.0 * t)
+            return out
+        return DriftField(2, ev, lambda t, X: np.zeros(X.shape[:-1]), mollification_level=1.0,
+                          time_dependent=time_dependent)
+
+    stepped = solve(PDEProblem(analytic(True), f, g)).u.values
+    frozen = solve(PDEProblem(analytic(False), f, g)).u.values
+    assert np.abs(u - stepped).max() < 1e-12
+    assert np.abs(u - frozen).max() > 0.05
+
+
+def test_external_constant_in_time_drift_is_autonomous(tmp_path):
+    g = GridSpec(2, 2.0, 8, 0.0, 0.5, 4)
+    vel = SpaceTimeField.from_vector_function(g, lambda t, x, y: [np.sin(np.pi * y), np.zeros_like(x)])
+    write_field(tmp_path / "b.sdlf", vel)
+    assert not load_external(tmp_path / "b.sdlf").time_dependent
 
 
 def test_cfl_guard_for_explicit_advection():
