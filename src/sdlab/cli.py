@@ -200,6 +200,15 @@ def _sweep(*, eps_levels: list[float]) -> list:
     return pde_mod.check_eps_levels(eps_levels)
 
 
+def _whole_steps(what: str, span: float, dt: float) -> None:
+    """ValueError unless ``span`` is a whole number of steps of ``dt``.
+
+    EnsembleConfig rounds a span to whole steps, which would move its end time."""
+    steps = span / dt
+    if abs(steps - round(steps)) > 1e-9 * steps:
+        raise ValueError(f"{what} = {span:g} is not a whole number of dt = {dt:g}")
+
+
 def _ensemble(drift, seed, diffusion, *, start: list[float], s: float, horizon: float, dt: float,
               paths: int, store_stride: int = 1) -> sde_mod.EnsembleConfig:
     if len(start) != drift.dim:
@@ -208,10 +217,7 @@ def _ensemble(drift, seed, diffusion, *, start: list[float], s: float, horizon: 
         raise ValueError("store_stride must be >= 1")
     config = sde_mod.EnsembleConfig(drift, (s, start), horizon, dt, paths, seed,
                                     store_stride=store_stride, diffusion=diffusion)
-    # EnsembleConfig rounds to whole steps, which would move the end time
-    steps = (horizon - s) / dt
-    if abs(steps - round(steps)) > 1e-9 * steps:
-        raise ValueError(f"horizon - s = {horizon - s:g} is not a whole number of dt = {dt:g}")
+    _whole_steps("horizon - s", horizon - s, dt)
     return config
 
 
@@ -337,6 +343,8 @@ def _feynman_kac(run):
     start, dt, paths = run.sampling
     panel = [(g.time_start, list(start)),
              (g.time_start + 0.5 * (g.time_end - g.time_start), [0.25] * g.spatial_dim)]
+    for s, _ in panel:
+        _whole_steps(f"t1 - {s:g}", g.time_end - s, dt)
     return lambda solution: sde_mod.feynman_kac_check(
         solution, run.problem.drift, run.source, panel, g.time_end, dt=dt,
         paths=max(paths // 4, 400), seed=run.seed + 1).record()
@@ -345,18 +353,21 @@ def _feynman_kac(run):
 def _krylov(run, *, deltas: list[float] = (0.05, 0.1, 0.2)):
     if len(set(deltas)) < 2 or min(deltas) <= 0:
         raise ValueError("deltas needs at least two distinct positive values to fit theta")
+    _, dt, _ = run.sampling
+    for delta in deltas:
+        _whole_steps("delta", delta, dt)
     # symmetric panel: uniformity of the bound constant is only
     # meaningful across comparable starting points
     d = run.problem.grid.spatial_dim
     starts = [[sign * 0.25 if i == ax else 0.0 for i in range(d)]
               for ax in range(d) for sign in (1.0, -1.0)]
-    _, dt, _ = run.sampling
     return lambda _: sde_mod.krylov_verify(run.problem.drift, starts, run.source, deltas, dt=dt,
                                            paths=1000, seed=run.seed + 2).record()
 
 
 def _khasminskii(run, *, lambda_: float = 1.0):
     start, dt, _ = run.sampling
+    _whole_steps("the span", 1.0, dt)
     return lambda _: sde_mod.khasminskii_verify(run.problem.drift, start, run.source, lambda_,
                                                 dt=dt, paths=1000, seed=run.seed + 3).record()
 
@@ -366,6 +377,8 @@ def _markov(run, *, t0: float = 0.2, t1: float = 0.4):
     s, start = e.start
     if not s <= t0 < t1:
         raise ValueError(f"needs s <= t0 < t1, got s = {s:g}, t0 = {t0:g}, t1 = {t1:g}")
+    _whole_steps("t0 - s", t0 - s, e.dt)
+    _whole_steps("t1 - t0", t1 - t0, e.dt)
     return lambda _: sde_mod.markov_check(run.problem.drift, start, t0, t1,
                                           lambda X: np.cos(X[:, 0]), s=s, dt=e.dt, paths=e.paths,
                                           seed=run.seed + 4).record()

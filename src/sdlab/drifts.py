@@ -282,40 +282,37 @@ def linear_drift(rate: float, d: int) -> DriftField:
 # External fields (SDLF ingestion)
 
 
-def load_external(path, grid: GridSpec | None = None, divergence_path=None) -> DriftField:
+def load_external(path) -> DriftField:
     """Ingest a velocity field from an SDLF file.
 
     Evaluation uses multilinear interpolation, periodic in space and
-    clamped in time.  Divergence is computed spectrally per slice when a
-    companion field is not supplied.  The returned metadata carries the
-    energy-class quantities sup_t ||u(t)||_2 and ||grad u||_{2;2}.
+    clamped in time.  Divergence is computed spectrally per slice.  The
+    returned metadata carries the energy-class quantities
+    sup_t ||u(t)||_2 and ||grad u||_{2;2}.
     """
     fld = read_field(path)
     g = fld.grid
-    if grid is not None and grid != g:
-        raise ValueError("grid mismatch between file and request")
     if fld.components != g.spatial_dim:
         raise ValueError(
             f"external field has {fld.components} components, expected {g.spatial_dim}"
         )
-    if not np.all(np.isfinite(fld.values)):
+    # (nt, d, N, ..., N); SDLF stores a 1-D field as a scalar, without the component axis
+    values = fld.values if g.spatial_dim > 1 else fld.values[:, None]
+    if not np.all(np.isfinite(values)):
         raise ValueError("external field has non-finite values")
 
-    if divergence_path is not None:
-        div_field = read_field(divergence_path)
-    else:
-        div_vals = np.zeros((g.nt, *g.spatial_shape()))
-        for i in range(g.spatial_dim):
-            comp = SpaceTimeField(g, fld.values[:, i], 1)
-            div_vals += spatial_gradient(comp)[:, i]
-        div_field = SpaceTimeField(g, div_vals, 1)
+    div_vals = np.zeros((g.nt, *g.spatial_shape()))
+    for i in range(g.spatial_dim):
+        comp = SpaceTimeField(g, values[:, i], 1)
+        div_vals += spatial_gradient(comp)[:, i]
+    div_field = SpaceTimeField(g, div_vals, 1)
 
     # energy-class quantities
     cell = g.cell_volume
-    l2 = np.sqrt(np.sum(fld.values**2, axis=tuple(range(1, fld.values.ndim))) * cell)
+    l2 = np.sqrt(np.sum(values**2, axis=tuple(range(1, values.ndim))) * cell)
     grad_sq = 0.0
     for i in range(g.spatial_dim):
-        gr = spatial_gradient(SpaceTimeField(g, fld.values[:, i], 1))
+        gr = spatial_gradient(SpaceTimeField(g, values[:, i], 1))
         grad_sq += np.sum(gr**2, axis=tuple(range(1, gr.ndim))) * cell
     grad_l2l2 = float(np.sqrt(np.trapezoid(grad_sq, g.times)))
 
@@ -332,7 +329,7 @@ def load_external(path, grid: GridSpec | None = None, divergence_path=None) -> D
         return (1 - wt) * lo + wt * hi
 
     def ev(t, X):
-        vals = interp(t, X, fld.values)  # (c, ...)
+        vals = interp(t, X, values)  # (c, ...)
         return np.moveaxis(vals, 0, -1)
 
     def dv(t, X):
@@ -349,7 +346,7 @@ def load_external(path, grid: GridSpec | None = None, divergence_path=None) -> D
             "energy_linf_l2": float(l2.max()),
             "energy_grad_l2l2": grad_l2l2,
         },
-        time_dependent=bool(np.any(fld.values != fld.values[:1])),
+        time_dependent=bool(np.any(values != values[:1])),
     )
     b.mollifier = lambda e: b
     return b
@@ -397,15 +394,14 @@ def check_admissibility(
     p2: float,
     q2: float,
     grid: GridSpec,
-    centers=None,
-    stability_tol: float = 0.05,
 ) -> AdmissibilityReport:
     """Localized-norm finiteness check for the drift and its divergence.
 
     Finiteness of the continuum norm is operationalized as refinement
-    stability: the grid norm must move by less than ``stability_tol``
-    relatively when N doubles.  The reported values are lower bounds of
-    the continuum sup over translates.
+    stability: the grid norm must move by less than 5% relatively when
+    N doubles.  The reported values are lower bounds of the continuum
+    sup over translates at two centers, the origin and (1/2, ..., 1/2),
+    both at mid-time.
     """
     fine = GridSpec(
         grid.spatial_dim,
@@ -415,12 +411,8 @@ def check_admissibility(
         grid.time_end,
         grid.time_steps,
     )
-    if centers is None:
-        mid = 0.5 * (grid.time_start + grid.time_end)
-        centers = [
-            (mid, np.zeros(grid.spatial_dim)),
-            (mid, np.full(grid.spatial_dim, 0.5)),
-        ]
+    mid = 0.5 * (grid.time_start + grid.time_end)
+    centers = [(mid, np.zeros(grid.spatial_dim)), (mid, np.full(grid.spatial_dim, 0.5))]
     fam = CutoffFamily(radius=1.0, centers=centers)
 
     def loc(sample_fn, g, p, q):
@@ -435,7 +427,7 @@ def check_admissibility(
     def stable(v, v2):
         if v2 == 0.0:
             return True
-        return abs(v2 - v) / max(v2, 1e-300) < stability_tol
+        return abs(v2 - v) / max(v2, 1e-300) < 0.05
 
     return AdmissibilityReport(
         p1=p1,

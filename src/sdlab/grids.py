@@ -19,7 +19,7 @@ SDLF_VERSION = 1
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Discretization of a periodic space-time box."""
+    """Discretization of a periodic space-time box in d = 1, 2 or 3 dimensions."""
 
     spatial_dim: int
     extent: float
@@ -30,8 +30,8 @@ class GridSpec:
 
     def __post_init__(self):
         d, N = self.spatial_dim, self.points_per_axis
-        if d < 1:
-            raise ValueError(f"spatial_dim must be >= 1, got {d}")
+        if d not in (1, 2, 3):
+            raise ValueError(f"spatial_dim must be 1, 2 or 3, got {d}")
         if N < 4 or (N & (N - 1)) != 0:
             raise ValueError(f"points_per_axis must be a power of two >= 4, got {N}")
         if not self.extent > 0:
@@ -123,13 +123,6 @@ class SpaceTimeField:
 
     def copy_with(self, values: np.ndarray) -> "SpaceTimeField":
         return SpaceTimeField(self.grid, values, self.components)
-
-    def component(self, i: int) -> "SpaceTimeField":
-        if self.is_scalar:
-            if i != 0:
-                raise IndexError("scalar field has a single component")
-            return self
-        return SpaceTimeField(self.grid, self.values[:, i], 1)
 
     @staticmethod
     def from_function(grid: GridSpec, fn) -> "SpaceTimeField":

@@ -40,23 +40,18 @@ def smooth_transition(s, lo, hi):
 
 
 def smooth_transition_with_deriv(s, lo, hi):
-    """(smooth_transition, smooth_transition_deriv) from one profile evaluation."""
-    u, phi = _transition(s, lo, hi)
-    slope = phi * (1.0 - phi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = slope * (1.0 / (u * u) + 1.0 / ((1.0 - u) * (1.0 - u))) / (lo - hi)
-    return phi, np.where(slope > 0.0, out, 0.0)
-
-
-def smooth_transition_deriv(s, lo, hi):
-    """d/ds of smooth_transition in closed form; 0 outside (lo, hi).
+    """(smooth_transition, its derivative in s) from one profile evaluation.
 
     With w = 1/u - 1/(1-u), phi = 1/(1 + e^w) and
     dphi/ds = phi (1 - phi) (1/u^2 + 1/(1-u)^2) / (lo - hi).
     Where phi (1 - phi) is 0 in floating point the derivative is 0 too,
     which also covers the clipped ends.
     """
-    return smooth_transition_with_deriv(s, lo, hi)[1]
+    u, phi = _transition(s, lo, hi)
+    slope = phi * (1.0 - phi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = slope * (1.0 / (u * u) + 1.0 / ((1.0 - u) * (1.0 - u))) / (lo - hi)
+    return phi, np.where(slope > 0.0, out, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +155,6 @@ def mixed_norm(f: SpaceTimeField, p: float, q: float, alpha: float = 0.0) -> flo
     return _lq_time(per_slice, q, f.grid.times)
 
 
-def spacetime_norm(f: SpaceTimeField, spec: NormSpec) -> float:
-    """The global space-time Bessel norm for the given exponent triple."""
-    return mixed_norm(f, spec.p, spec.q, spec.alpha)
-
-
 def vnorm(f: SpaceTimeField) -> float:
     """Energy norm: L^2-in-space sup-in-time plus space-time L^2 of the gradient."""
     part1 = mixed_norm(f, 2.0, np.inf)
@@ -237,12 +227,7 @@ class CutoffFamily:
         return [(float(s), z) for s in tgrid for z in spatial]
 
 
-def localized_norm(
-    f: SpaceTimeField,
-    spec: NormSpec,
-    cutoffs: CutoffFamily | None = None,
-    return_center: bool = False,
-):
+def localized_norm(f: SpaceTimeField, spec: NormSpec, cutoffs: CutoffFamily | None = None):
     """Max over cutoff translates of the norm of f * chi_r^{s,z}.
 
     A lower bound of the continuum sup, converging as the center lattice
@@ -260,7 +245,7 @@ def localized_norm(
     if not centers:
         raise ValueError("cutoff family has an empty center lattice")
     slice_norms = {}
-    best, best_center = -np.inf, None
+    best = -np.inf
     for c in centers:
         s, z = c[0], c[1]
         key = tuple(np.ravel(z))
@@ -270,11 +255,7 @@ def localized_norm(
             if spec.alpha != 0.0:
                 local = bessel_apply(local, spec.alpha)
             per_slice = slice_norms[key] = _lp_space(local.values, spec.p, g.cell_volume)
-        val = _lq_time(cutoffs.profile_time(g.times - s) * per_slice, spec.q, g.times)
-        if val > best:
-            best, best_center = val, c
-    if return_center:
-        return best, best_center
+        best = max(best, _lq_time(cutoffs.profile_time(g.times - s) * per_slice, spec.q, g.times))
     return best
 
 
@@ -320,63 +301,3 @@ def mollify(f: SpaceTimeField, epsilon: float) -> SpaceTimeField:
     if f.components != 1:
         raise ValueError("mollify expects a scalar field; mollify components separately")
     return f.copy_with(out)
-
-
-# ---------------------------------------------------------------------------
-# Inequality battery
-
-
-def gn_interpolation_ratio(f: SpaceTimeField, alpha, theta, p, q, r) -> float:
-    """Ratio ||f||_{alpha,r} / (||grad f||_p^theta ||f||_q^(1-theta)), worst slice."""
-    g = f.grid
-    lhs_field = bessel_apply(f, alpha) if alpha != 0 else f
-    lhs = _lp_space(lhs_field.values, r, g.cell_volume)
-    grad = spatial_gradient(f)
-    gmag = np.sqrt(np.sum(grad**2, axis=1))
-    gp = _lp_space(gmag, p, g.cell_volume)
-    fq = _lp_space(f.values, q, g.cell_volume)
-    denom = gp**theta * fq ** (1 - theta)
-    mask = denom > 1e-14
-    if not mask.any():
-        return 0.0
-    return float(np.max(lhs[mask] / denom[mask]))
-
-
-def inequality_battery(fields: list[SpaceTimeField], d: int | None = None) -> list[dict]:
-    """Empirical-constant report for the interpolation / localization estimates.
-
-    For each field: the Gagliardo-Nirenberg ratio for a standard exponent
-    choice, and the r=1 vs r=2 localized-norm equivalence ratio.  Ratios
-    are refinement-independent constants; callers flag divergence under
-    refinement as an implementation bug.
-    """
-    if not fields:
-        return []
-    grid = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != grid:
-            raise ValueError("fields must share a grid")
-    d = d or grid.spatial_dim
-    # GN exponents: alpha=0, theta=1/2, p=q=2 => 1/r = 1/2 - theta/d
-    inv_r = 0.5 - 0.5 / d
-    r_gn = np.inf if inv_r <= 0 else 1.0 / inv_r
-    records = []
-    spec1 = NormSpec(0.0, 2.0, 2.0, 1.0)
-    spec2 = NormSpec(0.0, 2.0, 2.0, 2.0)
-    for i, f in enumerate(fields):
-        rec = {"field": i}
-        rec["gn_ratio"] = gn_interpolation_ratio(f, 0.0, 0.5, 2.0, 2.0, r_gn)
-        n1 = localized_norm(f, spec1, CutoffFamily(radius=1.0))
-        n2 = localized_norm(f, spec2, CutoffFamily(radius=2.0))
-        rec["loc_norm_r1"] = n1
-        rec["loc_norm_r2"] = n2
-        rec["r_equiv_ratio"] = n1 / n2 if n2 > 0 else np.nan
-        records.append(rec)
-    return records
-
-
-def exponent_relation_holds(alpha: float, p: float, q: float, d: int) -> bool:
-    """For admissible (alpha,p,q), the conjugate pair must satisfy d/r + 2/s > d/2."""
-    r, s = conjugate_exponents(alpha, p, q)
-    lhs = (0.0 if np.isinf(r) else d / r) + (0.0 if np.isinf(s) else 2.0 / s)
-    return lhs > d / 2.0

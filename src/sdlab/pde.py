@@ -52,7 +52,6 @@ class PDEProblem:
 @dataclass
 class SolverConfig:
     scheme: str = "implicit"  # implicit | cn | imex
-    check_cfl: bool = True
 
     def __post_init__(self):
         if self.scheme not in ("implicit", "cn", "imex"):
@@ -137,7 +136,7 @@ def solve(problem: PDEProblem, config: SolverConfig | None = None) -> SolutionBu
         return problem.drift(t, nodes)
 
     b0 = drift_at(0)
-    if config.scheme == "imex" and config.check_cfl:
+    if config.scheme == "imex":
         bmax = float(np.abs(b0).max())
         if bmax * dt / grid.h > 1.0:
             raise CFLError(
@@ -194,11 +193,11 @@ def solve(problem: PDEProblem, config: SolverConfig | None = None) -> SolutionBu
     )
 
 
-def max_principle_violations(bundle: SolutionBundle, tol: float = 1e-12) -> int:
-    """Count nodes where u < -tol*scale; zero for f >= 0 by monotonicity."""
+def max_principle_violations(bundle: SolutionBundle) -> int:
+    """Count nodes where u < -1e-12*scale; zero for f >= 0 by monotonicity."""
     u = bundle.u.values
     scale = max(1.0, float(np.abs(u).max()))
-    return int(np.count_nonzero(u < -tol * scale))
+    return int(np.count_nonzero(u < -1e-12 * scale))
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +304,9 @@ def stability_sweep(
     eps_levels,
     source: SpaceTimeField,
     grid: GridSpec,
-    config: SolverConfig | None = None,
     direction: str = "forward",
 ) -> dict:
-    """Solve at each mollification level; report Cauchy behavior.
+    """Solve at each mollification level with the implicit scheme; report Cauchy behavior.
 
     Distances are L^2 norms of consecutive differences on the central
     compact sub-box |x_i| <= L/4, time in [t0, t1].
@@ -317,7 +315,7 @@ def stability_sweep(
     sols = []
     for eps in eps_levels:
         prob = PDEProblem(base_drift.mollified(eps), source, grid, direction)
-        sols.append(solve(prob, config))
+        sols.append(solve(prob))
 
     mask = _central_mask(grid)
     cell = grid.cell_volume

@@ -81,9 +81,10 @@ def step_normals(seed: int, step: int, paths: int, dim: int) -> np.ndarray:
     return out
 
 
-def batch_stats(values: np.ndarray, n_batches: int = 20):
-    """Mean and batch-means standard error (>= 20 batches)."""
+def batch_stats(values: np.ndarray):
+    """Mean and batch-means standard error over 20 batches."""
     values = np.asarray(values, float)
+    n_batches = 20
     n = len(values)
     if n < n_batches:
         raise ValueError("too few samples for batch means")
@@ -251,8 +252,7 @@ def save_ensemble(ens: TrajectoryEnsemble, path: str) -> None:
         fh.write(struct.pack("<IIII", len(meta), M, K1, d))
         fh.write(meta)
         fh.write(ens.times.astype("<f8").tobytes())
-        for m in range(M):
-            fh.write(ens.states[m].astype("<f8").tobytes())
+        fh.write(np.ascontiguousarray(ens.states, dtype="<f8").tobytes())
 
 
 def load_ensemble_arrays(path: str):
@@ -294,13 +294,12 @@ class EstimateReport:
 
 
 def krylov_verify(drift: DriftField, starts, f, deltas, s: float = 0.0,
-                  dt: float = 1e-3, paths: int = 2000, seed: int = 0,
-                  f_norm: float | None = None) -> EstimateReport:
+                  dt: float = 1e-3, paths: int = 2000, seed: int = 0) -> EstimateReport:
     """Scaling of E int_0^delta f(t, X_t) dt over a panel of starts.
 
     Fits log E = theta * log delta + const per start; requires f >= 0.
     Reports theta (pooled), its spread, and the panel-uniform constant
-    sup_x E / delta^theta, optionally normalized by a supplied norm of f.
+    sup_x E / delta^theta.
     """
     deltas = sorted(deltas)
     table = np.zeros((len(starts), len(deltas)))
@@ -331,14 +330,12 @@ def krylov_verify(drift: DriftField, starts, f, deltas, s: float = 0.0,
     c_emp = float(np.nanmax(consts))
     c_min = float(np.nanmin(np.where(table > 0, consts, np.nan)))
     uniform = c_emp <= 2.0 * max(c_min, 1e-300)
-    if f_norm:
-        c_emp /= f_norm
     passed = np.isfinite(theta) and theta > 3 * (theta_sd / max(np.sqrt(len(thetas)), 1)) and uniform
     return EstimateReport(
         "krylov", float(table.max()), float(ses.max()), c_emp * max(deltas) ** theta,
         c_emp, bool(passed),
         {"theta": theta, "theta_sd": theta_sd, "deltas": deltas,
-         "uniform_ratio": c_emp * (f_norm or 1.0) / max(c_min, 1e-300),
+         "uniform_ratio": c_emp / max(c_min, 1e-300),
          "table": table.tolist()},
     )
 
@@ -346,8 +343,9 @@ def krylov_verify(drift: DriftField, starts, f, deltas, s: float = 0.0,
 def khasminskii_verify(drift: DriftField, start, f, lam: float, s: float = 0.0,
                        dt: float = 1e-3, paths: int = 4000, seed: int = 0) -> EstimateReport:
     """Exponential moment E exp(lam * int_s^{s+1} |f(t,X_t)| dt)."""
+    # only the integrals are read: store the end state alone
     cfg = EnsembleConfig(drift, (s, start), s + 1.0, dt, paths, seed,
-                         store_stride=cfg_stride(dt))
+                         store_stride=max(1, int(round(1.0 / dt))))
     ens = simulate(cfg, integrands={"absf": lambda t, X: np.abs(f(t, X))})
     expo = lam * ens.integrals["absf"]
     if expo.max() > 700:
@@ -360,10 +358,6 @@ def khasminskii_verify(drift: DriftField, start, f, lam: float, s: float = 0.0,
     stable = abs(half - mean) <= 3 * se + 1e-12
     return EstimateReport("khasminskii", mean, se, mean + 3 * se, mean, bool(stable),
                           {"lambda": lam, "half_sample_mean": half})
-
-
-def cfg_stride(dt: float, target_slices: int = 20) -> int:
-    return max(1, int(round(1.0 / dt / target_slices)))
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +386,7 @@ def backward_flow_det(ens: TrajectoryEnsemble) -> np.ndarray:
 
 
 def jacobian_semigroup(drift: DriftField, f, grid, t0: float, t1: float,
-                       dt: float = 1e-3, paths: int = 5000, seed: int = 0,
-                       divergence_free: bool | None = None) -> EstimateReport:
+                       dt: float = 1e-3, paths: int = 5000, seed: int = 0) -> EstimateReport:
     """Mass transport bound ||T f||_1 <= C ||f||_1 with C from det J.
 
     ||T f||_1 = int E|f|(X_{t0,t1}(x)) dx is estimated with uniform
@@ -417,9 +410,7 @@ def jacobian_semigroup(drift: DriftField, f, grid, t0: float, t1: float,
     det_mean, det_se = batch_stats(dets)
     c_emp = l1_out / l1_in if l1_in > 0 else np.nan
 
-    if divergence_free is None:
-        probe = drift.divergence(t0, x0)
-        divergence_free = float(np.abs(probe).max()) < 1e-10
+    divergence_free = float(np.abs(drift.divergence(t0, x0)).max()) < 1e-10
     if divergence_free:
         passed = c_emp <= 1.0 + 3 * se / max(l1_in, 1e-300)
     else:
@@ -435,14 +426,13 @@ def jacobian_semigroup(drift: DriftField, f, grid, t0: float, t1: float,
 
 
 def feynman_kac_check(solution, drift: DriftField, f, panel, T: float,
-                      dt: float = 1e-3, paths: int = 4000, seed: int = 0,
-                      disc_constant: float | None = None) -> EstimateReport:
+                      dt: float = 1e-3, paths: int = 4000, seed: int = 0) -> EstimateReport:
     """u(s,x) against the Monte Carlo value of int_s^T f(t, X_t) dt.
 
     ``solution`` must solve the terminal-value problem for the same
     (drift, f, T).  The discretization allowance C*(dt^{1/2} + h^2) uses
     a constant fitted from a step-halving refinement at the first panel
-    point unless supplied.
+    point.
     """
     grid = solution.u.grid
     if abs(grid.time_end - T) > 1e-9:
@@ -454,12 +444,11 @@ def feynman_kac_check(solution, drift: DriftField, f, panel, T: float,
         ens = simulate(cfg, integrands={"f": f})
         return batch_stats(ens.integrals["f"])
 
-    if disc_constant is None:
-        s0, x0 = panel[0]
-        v1, _ = mc_value(s0, x0, dt, seed + 900)
-        v2, _ = mc_value(s0, x0, dt / 2, seed + 900)
-        gap = max(np.sqrt(dt) - np.sqrt(dt / 2), 1e-12)
-        disc_constant = abs(v1 - v2) / gap + 1.0
+    s0, x0 = panel[0]
+    v1, _ = mc_value(s0, x0, dt, seed + 900)
+    v2, _ = mc_value(s0, x0, dt / 2, seed + 900)
+    gap = max(np.sqrt(dt) - np.sqrt(dt / 2), 1e-12)
+    disc_constant = abs(v1 - v2) / gap + 1.0
 
     allowance = disc_constant * (np.sqrt(dt) + grid.h**2)
     worst, worst_se, rows = 0.0, 0.0, []
@@ -491,7 +480,7 @@ class ProbeFunction:
 
 def martingale_defect(drift: DriftField, start, probe: ProbeFunction, t0: float, t1: float,
                       G=None, s: float = 0.0, dt: float = 1e-3, paths: int = 4000,
-                      seed: int = 0, bias_constant: float | None = None) -> EstimateReport:
+                      seed: int = 0) -> EstimateReport:
     """E[(M_{t1} - M_{t0}) G] for M_t = f(X_t) - f(X_s) - int L f(X_r) dr.
 
     t0 is read at the first step time within dt/2 of it; G defaults to 1.
@@ -519,9 +508,8 @@ def martingale_defect(drift: DriftField, start, probe: ProbeFunction, t0: float,
         return batch_stats((m_t1 - m_t0) * g_val)
 
     defect, se = run(dt)
-    if bias_constant is None:
-        d2, _ = run(2 * dt)
-        bias_constant = abs(d2 - defect) / dt + 1.0
+    d2, _ = run(2 * dt)
+    bias_constant = abs(d2 - defect) / dt + 1.0
     allowance = bias_constant * dt
     passed = abs(defect) <= 3 * se + allowance
     return EstimateReport("martingale_defect", defect, se, 3 * se + allowance,
@@ -681,13 +669,3 @@ def refinement_gap(config: EnsembleConfig) -> float:
     xc = simulate(coarse, increment=coupled).final_states
     xf = simulate(fine).final_states
     return float(np.sqrt(np.sum((xc - xf) ** 2, axis=1)).mean())
-
-
-def strong_order_fit(drift: DriftField, start, horizon: float, dts, paths: int = 2000,
-                     seed: int = 0) -> dict:
-    gaps = [
-        refinement_gap(EnsembleConfig(drift, start, horizon, dt_, paths, seed))
-        for dt_ in dts
-    ]
-    slope = float(np.polyfit(np.log(dts), np.log(gaps), 1)[0])
-    return {"dts": list(dts), "gaps": gaps, "order": slope}

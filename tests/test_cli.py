@@ -269,6 +269,19 @@ VALUE_FAULTS = {
     "external-missing": (lambda c: c.update(drift={"kind": "external", "path": "no/such.sdlf"}),
                          "path"),
     "rising-ladder": (lambda c: c.update(sweep={"eps_levels": [0.1, 0.2]}), "eps_levels"),
+    "grid-dim-64": (lambda c: c["grid"].update(dim=64), "grid: spatial_dim"),
+    # the verifiers' own spans must be whole numbers of dt too
+    "feynman-kac-off-grid": (lambda c: c["ensemble"].update(horizon=0.48, dt=0.04),
+                             "verifiers[2] (feynman-kac): t1 - 0 = 0.5"),
+    "markov-off-grid": (lambda c: c["verifiers"].append({"name": "markov", "t1": 0.4025}),
+                        "(markov): t1 - t0"),
+    "krylov-off-grid": (lambda c: c["verifiers"].append({"name": "krylov",
+                                                        "deltas": [0.05, 0.1025]}),
+                        "(krylov): delta = 0.1025"),
+    "khasminskii-off-grid": (lambda c: c.update(ensemble={**c["ensemble"], "horizon": 0.48,
+                                                          "dt": 0.03},
+                                                verifiers=[{"name": "khasminskii"}]),
+                             "(khasminskii): the span = 1"),
 }
 
 

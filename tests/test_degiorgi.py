@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sdlab.degiorgi import (
-    CutoffLadder,
     kappa_seq,
     lambda_seq,
     recursion_converges,
@@ -36,23 +35,6 @@ def test_sequence_invariants():
     assert all(a > b for a, b in zip(ls, ls[1:])) and ls[-1] > 1.0
     assert all(a < b for a, b in zip(ks, ks[1:])) and ks[-1] < 2.0
     assert abs(ts[-1] - 1.0) < 1e-5 and abs(ls[-1] - 1.0) < 1e-3
-
-
-def test_cutoff_ladder_nesting_and_growth():
-    lad = CutoffLadder()
-    g = q2_grid()
-    for n in (1, 2, 3):
-        eta = lad.field(g, n).values
-        t_in, l_in = t_seq(n + 1), lambda_seq(n + 1)
-        rho = np.sqrt(sum(m**2 for m in g.meshgrid()))
-        plateau = (np.abs(g.times)[:, None, None] < t_in - 0.05) & (rho[None] < l_in - 0.05)
-        outside = (np.abs(g.times)[:, None, None] >= t_seq(n)) | (rho[None] >= lambda_seq(n))
-        assert np.all(eta[plateau] == 1.0)
-        assert np.all(eta[outside] == 0.0)
-    # sharpness growth bounded by C * 4^n with one C across levels
-    C = lad.xi_growth_constant(n_levels=6)
-    assert all(lad.xi(n) <= C * 4.0**n * (1 + 1e-9) for n in range(1, 7))
-    assert C < 100
 
 
 def test_nonpositive_solution_all_zero():

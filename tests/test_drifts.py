@@ -12,7 +12,7 @@ from sdlab.drifts import (
     zero_drift,
 )
 from sdlab.grids import GridSpec, SpaceTimeField, write_field
-from sdlab.norms import smooth_transition, smooth_transition_deriv
+from sdlab.norms import smooth_transition, smooth_transition_with_deriv
 
 
 def test_radial_drift_closed_form():
@@ -104,7 +104,7 @@ def test_lattice_divergence_one_profile_call_per_spike(monkeypatch):
     div = b.divergence(0.0, X)
     assert len(calls) == 16  # one profile evaluation per spike of the 4 x 4 cell
     monkeypatch.setattr(drifts, "_phi_and_prime", lambda rho: (
-        smooth_transition(rho, 1.0, 2.0), smooth_transition_deriv(rho, 1.0, 2.0)))
+        smooth_transition(rho, 1.0, 2.0), smooth_transition_with_deriv(rho, 1.0, 2.0)[1]))
     assert np.array_equal(div, b.divergence(0.0, X))
 
 
@@ -159,6 +159,22 @@ def test_external_roundtrip_and_divergence(tmp_path):
     # Taylor-Green is divergence-free; spectral fallback must see that
     assert np.abs(b.divergence(0.1, X)).max() < 1e-10
     assert "energy_linf_l2" in b.metadata
+
+
+def test_external_1d_field_roundtrip(tmp_path):
+    # SDLF stores a one-component field without its component axis
+    g = GridSpec(1, 2.0, 32, 0.0, 1.0, 50)
+    field = SpaceTimeField.from_function(g, lambda t, x: 3 * np.sin(6 * t))
+    write_field(tmp_path / "b.sdlf", field)
+    b = load_external(tmp_path / "b.sdlf")
+    assert b.dim == 1 and b.time_dependent
+    X = np.array([[-0.7], [0.0], [0.4]])
+    for t in g.times:
+        np.testing.assert_allclose(b(t, X), 3 * np.sin(6 * t), rtol=0, atol=1e-12)
+    # linear in time between slices: error at most dt^2 / 8 * max|b''| = 5.4e-3
+    for t in g.times[:-1] + g.dt / 2:
+        np.testing.assert_allclose(b(t, X), 3 * np.sin(6 * t), rtol=0, atol=6e-3)
+    assert np.abs(b.divergence(0.3, X)).max() < 1e-12
 
 
 def test_admissibility_exponent_gate():
@@ -219,7 +235,7 @@ def _lattice_modulo_reference(gamma_max, alpha_sing, d, period, seed, eps, X):
         u = rho2 + e2
         rho = np.sqrt(rho2)
         phi = smooth_transition(rho, 1.0, 2.0)
-        dphi = smooth_transition_deriv(rho, 1.0, 2.0)
+        dphi = smooth_transition_with_deriv(rho, 1.0, 2.0)[1]
         b += gamma * disp * (u ** (-a / 2.0) * phi)[..., None]
         div += gamma * (
             d * u ** (-a / 2.0) * phi
