@@ -17,11 +17,10 @@ from sdlab.grids import GridSpec, SpaceTimeField, interp_space, read_field
 from sdlab.norms import (
     CutoffFamily,
     NormSpec,
+    gradient_energy,
     localized_norm,
-    mixed_norm,
     smooth_transition,
     smooth_transition_with_deriv,
-    spatial_gradient,
 )
 
 
@@ -301,19 +300,17 @@ def load_external(path) -> DriftField:
     if not np.all(np.isfinite(values)):
         raise ValueError("external field has non-finite values")
 
+    # d_i b_i spectrally: one transform pair per component, as spatial_gradient's column i
+    axes = tuple(range(1, 1 + g.spatial_dim))
     div_vals = np.zeros((g.nt, *g.spatial_shape()))
-    for i in range(g.spatial_dim):
-        comp = SpaceTimeField(g, values[:, i], 1)
-        div_vals += spatial_gradient(comp)[:, i]
+    grad_sq = 0.0
+    for i, k in enumerate(g.wavenumbers()):
+        div_vals += np.fft.ifftn(1j * k * np.fft.fftn(values[:, i], axes=axes), axes=axes).real
+        grad_sq += gradient_energy(SpaceTimeField(g, values[:, i], 1))
     div_field = SpaceTimeField(g, div_vals, 1)
 
     # energy-class quantities
-    cell = g.cell_volume
-    l2 = np.sqrt(np.sum(values**2, axis=tuple(range(1, values.ndim))) * cell)
-    grad_sq = 0.0
-    for i in range(g.spatial_dim):
-        gr = spatial_gradient(SpaceTimeField(g, values[:, i], 1))
-        grad_sq += np.sum(gr**2, axis=tuple(range(1, gr.ndim))) * cell
+    l2 = np.sqrt(np.sum(values**2, axis=tuple(range(1, values.ndim))) * g.cell_volume)
     grad_l2l2 = float(np.sqrt(np.trapezoid(grad_sq, g.times)))
 
     def interp(t, X, data):

@@ -9,7 +9,7 @@ leading component axis after time: (nt, c, N, ..., N).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,4 +1,4 @@
-"""Every public name of sdlab has a caller on a run path.
+"""Every public name of sdlab has a caller on a run path, and every import a reader.
 
 A public top-level name or public method counts as used when it is
 referenced outside its own definition: in ``src/``, in ``perfbench/``
@@ -78,3 +78,25 @@ def test_public_api_has_callers():
     assert not unused - set(ALLOWED), "public names with no caller outside the unit tests"
     # a name that gained a caller leaves the allowlist
     assert not set(ALLOWED) - unused, "allowlisted names that now have a caller"
+
+
+def _unread_imports(tree) -> set:
+    """Names a module imports but never reads; ``__all__`` counts as a read."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return imported - read
+
+
+def test_every_import_is_read():
+    unread = {f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+              for name in _unread_imports(ast.parse(path.read_text()))}
+    assert not unread, "imports that nothing in their module reads"

@@ -8,10 +8,13 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from sdlab import pde as pde_mod
 from sdlab.cli import (
     SCENARIOS,
     ConfigError,
     _null_nonfinite,
+    _run_config,
+    _sweep_level_of_pde,
     main,
     validate_config_data,
 )
@@ -317,3 +320,39 @@ def test_config_hash_covers_resolved_config(runner, tmp_path):
     terse_hash = config_hash(terse, "terse")
     assert config_hash(explicit, "explicit") == terse_hash
     assert config_hash(changed, "changed") != terse_hash
+
+
+@pytest.mark.parametrize("section, key, value, solves", [
+    (None, None, None, 4),  # the pde stage is the sweep's eps = 0.1 level
+    ("pde", "scheme", "cn", 5),
+    ("drift", "eps", 0.15, 5),  # a level the ladder does not hold
+], ids=["default", "cn", "off-ladder"])
+def test_sweep_level_serves_the_pde_stage(monkeypatch, tmp_path, section, key, value, solves):
+    cfg = copy.deepcopy(SCENARIOS["radial-c0.5-sweep"])
+    if section is not None:
+        cfg[section][key] = value
+    real, calls = pde_mod.solve, []
+    monkeypatch.setattr(pde_mod, "solve", lambda *a, **k: calls.append(a) or real(*a, **k))
+    manifest = _run_config(validate_config_data(cfg), tmp_path)
+    assert len(calls) == solves
+    assert [s["stage"] for s in manifest["stages"]] == ["pde", "sweep", "ensemble"]
+
+
+@pytest.mark.parametrize("drift", [
+    {"kind": "zero"}, {"kind": "constant", "value": [1.0, -0.5]}, {"kind": "linear"},
+    {"kind": "radial", "c": 0.5}, {"kind": "lattice"},
+], ids=lambda drift: drift["kind"])
+def test_reused_sweep_solution_is_the_standalone_solve(tmp_path, drift):
+    run = validate_config_data({
+        "schema_version": 1,
+        "grid": {"dim": 2, "extent": 4.0, "points": 16, "t0": 0.0, "t1": 0.2, "steps": 10},
+        "drift": drift, "source": {"kind": "bump"}, "pde": {},
+        "sweep": {"eps_levels": [0.4, 0.1, 0.05]}, "verifiers": [{"name": "stability"}],
+    })
+    assert _sweep_level_of_pde(run) is not None
+    manifest = _run_config(run, tmp_path)
+    alone = pde_mod.solve(run.problem, run.pde)
+    assert np.array_equal(read_field(tmp_path / "solution.sdlf").values, alone.u.values)
+    stage = manifest["stages"][0]
+    assert (stage["stage"], stage["sup_norm"], stage["residual"]) \
+        == ("pde", alone.sup_norm, alone.residual)

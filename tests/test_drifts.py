@@ -12,7 +12,7 @@ from sdlab.drifts import (
     zero_drift,
 )
 from sdlab.grids import GridSpec, SpaceTimeField, write_field
-from sdlab.norms import smooth_transition, smooth_transition_with_deriv
+from sdlab.norms import smooth_transition, smooth_transition_with_deriv, spatial_gradient
 
 
 def test_radial_drift_closed_form():
@@ -175,6 +175,24 @@ def test_external_1d_field_roundtrip(tmp_path):
     for t in g.times[:-1] + g.dt / 2:
         np.testing.assert_allclose(b(t, X), 3 * np.sin(6 * t), rtol=0, atol=6e-3)
     assert np.abs(b.divergence(0.3, X)).max() < 1e-12
+
+
+@pytest.mark.parametrize("d, n, steps", [(1, 32, 50), (2, 32, 4)])
+def test_external_divergence_and_energy_match_spectral_gradient(tmp_path, d, n, steps):
+    # the grids of the two round-trip tests above, with random components
+    g = GridSpec(d, 2.0, n, 0.0, 1.0, steps)
+    values = np.random.default_rng(d).standard_normal((g.nt, d) + g.spatial_shape())
+    write_field(tmp_path / "b.sdlf", SpaceTimeField(g, values[:, 0] if d == 1 else values, d))
+    b = load_external(tmp_path / "b.sdlf")
+    grads = [spatial_gradient(SpaceTimeField(g, values[:, i], 1)) for i in range(d)]
+    div = sum(gr[:, i] for i, gr in enumerate(grads))
+    grad_sq = sum(np.sum(gr**2, axis=tuple(range(1, gr.ndim))) * g.cell_volume for gr in grads)
+    nodes = g.nodes()
+    for k in (0, g.time_steps // 2, g.time_steps):
+        np.testing.assert_allclose(b.divergence(g.times[k], nodes), div[k].ravel(), rtol=0,
+                                   atol=1e-12 * np.abs(div).max())
+    assert b.metadata["energy_grad_l2l2"] == pytest.approx(
+        np.sqrt(np.trapezoid(grad_sq, g.times)), rel=1e-12, abs=0)
 
 
 def test_admissibility_exponent_gate():

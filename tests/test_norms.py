@@ -11,6 +11,7 @@ from sdlab.norms import (
     NormSpec,
     bessel_apply,
     conjugate_exponents,
+    gradient_energy,
     localized_norm,
     mixed_norm,
     mollifier_kernel,
@@ -290,3 +291,20 @@ def test_gradient_spectral_exactness():
     mesh = g.meshgrid()
     assert np.allclose(grad[:, 0], k * np.cos(k * mesh[0]) * np.cos(k * mesh[1]), atol=1e-10)
     assert np.allclose(grad[:, 1], -k * np.sin(k * mesh[0]) * np.sin(k * mesh[1]), atol=1e-10)
+
+
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 32), (3, 16)])
+def test_vnorm_parseval_matches_spectral_gradient(d, n):
+    g = GridSpec(d, 3.0, n, 0.0, 1.0, 5)
+    rng = np.random.default_rng(d)
+    values = rng.standard_normal((g.nt,) + g.spatial_shape())
+    # extra Nyquist content: along axis 0 alone, and on every axis at once
+    idx = np.indices(g.spatial_shape())
+    values += 2.0 * (-1.0) ** idx[0] * rng.standard_normal(g.nt).reshape((-1,) + (1,) * d)
+    values += (-1.0) ** idx.sum(axis=0)
+    f = SpaceTimeField(g, values, 1)
+    grad = spatial_gradient(f)
+    energy = np.sum(grad**2, axis=tuple(range(1, grad.ndim))) * g.cell_volume
+    np.testing.assert_allclose(gradient_energy(f), energy, rtol=1e-13, atol=0)
+    reference = mixed_norm(f, 2.0, np.inf) + np.sqrt(np.trapezoid(energy, g.times))
+    assert vnorm(f) == pytest.approx(reference, rel=1e-13, abs=0)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from sdlab.drifts import (
     DriftField,
@@ -15,6 +17,8 @@ from sdlab.pde import (
     CFLError,
     PDEProblem,
     SolverConfig,
+    _factor,
+    build_operator,
     energy_monitor,
     max_principle_violations,
     solve,
@@ -191,3 +195,22 @@ def test_energy_monitor_report():
     assert rep["xi_eta"] > 1.0
     assert len(rep["records"]) >= 2
     assert np.isfinite(rep["c_emp_max"]) and rep["c_emp_max"] >= 0
+
+
+@pytest.mark.parametrize("scheme", ["implicit", "cn", "imex"])
+def test_factor_solves_step_matrix_without_row_exchange(scheme):
+    # strong enough that partial pivoting would exchange rows at the origin's column
+    g = GridSpec(2, 4.0, 8, 0.0, 1.0, 4)
+    nodes = g.nodes()
+    A = build_operator(g, radial_drift(10.0, 2, 0.2)(0.0, nodes))
+    ident = sp.identity(len(nodes), format="csr")
+    M = {"implicit": ident - g.dt * A, "cn": ident - 0.5 * g.dt * A,
+         "imex": ident - g.dt * build_operator(g, np.zeros_like(nodes))}[scheme]
+    lu = _factor(M)
+    rhs = np.random.default_rng(3).standard_normal((len(nodes), 2))
+    exact = np.linalg.solve(M.toarray(), rhs)
+    np.testing.assert_allclose(lu.solve(rhs), exact, rtol=1e-12, atol=1e-12 * np.abs(exact).max())
+    # diagonal pivots: the row order is the column order
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    default = spla.splu(M.tocsc())  # COLAMD
+    assert lu.L.nnz + lu.U.nnz < default.L.nnz + default.U.nnz
