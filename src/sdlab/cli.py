@@ -431,23 +431,6 @@ def _null_nonfinite(rec: dict) -> dict:
     return out
 
 
-def _sweep_level_of_pde(run: Run) -> int | None:
-    """Index of the sweep level that solves the PDE stage's own problem, if one does.
-
-    The sweep solves with the implicit scheme on the run's grid, source and
-    direction, with the drift ``problem.drift.mollified(eps)``: that is the
-    run's drift at its own level, and at every level for a drift whose
-    mollifier returns the drift itself.
-    """
-    if run.pde is None or run.sweep is None or run.pde.scheme != "implicit":
-        return None
-    b = run.problem.drift
-    for i, eps in enumerate(run.sweep):
-        if eps == b.mollification_level or b.mollified(eps) is b:
-            return i
-    return None
-
-
 def _run_config(run: Run, outdir: Path) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -476,7 +459,8 @@ def _run_config(run: Run, outdir: Path) -> dict:
             problem.drift, run.sweep, problem.source, problem.grid, direction=problem.direction)
 
     if run.pde is not None:
-        level = _sweep_level_of_pde(run)
+        level = (None if run.sweep is None
+                 else pde_mod.sweep_level_of(problem, run.pde, run.sweep))
         solution = outputs["pde"] = (pde_mod.solve(problem, run.pde) if level is None
                                      else sweep["solutions"][level])
         path = outdir / "solution.sdlf"

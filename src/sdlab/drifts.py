@@ -17,10 +17,10 @@ from sdlab.grids import GridSpec, SpaceTimeField, interp_space, read_field
 from sdlab.norms import (
     CutoffFamily,
     NormSpec,
-    gradient_energy,
     localized_norm,
     smooth_transition,
     smooth_transition_with_deriv,
+    spatial_gradient,
 )
 
 
@@ -306,7 +306,7 @@ def load_external(path) -> DriftField:
     grad_sq = 0.0
     for i, k in enumerate(g.wavenumbers()):
         div_vals += np.fft.ifftn(1j * k * np.fft.fftn(values[:, i], axes=axes), axes=axes).real
-        grad_sq += gradient_energy(SpaceTimeField(g, values[:, i], 1))
+        grad_sq += spatial_gradient(SpaceTimeField(g, values[:, i], 1), energy=True)
     div_field = SpaceTimeField(g, div_vals, 1)
 
     # energy-class quantities

@@ -119,13 +119,32 @@ def bessel_apply(f: SpaceTimeField, alpha: float) -> SpaceTimeField:
     return f.copy_with(out)
 
 
-def spatial_gradient(f: SpaceTimeField) -> np.ndarray:
-    """Spectral gradient per slice; shape (nt, d, N, ..., N)."""
+def spatial_gradient(f: SpaceTimeField, energy: bool = False) -> np.ndarray:
+    """Spectral gradient per slice; shape (nt, d, N, ..., N).
+
+    With ``energy=True``, the integral of |grad f|^2 per slice instead,
+    shape (nt,).  By Parseval this is (h^d / N^d) sum_k w |k|^2 |f^(k)|^2
+    over one ``rfftn``, with w = 2 on the columns that the real transform
+    halves and 1 on its k = 0 and Nyquist columns.  Each axis's
+    wavenumber is 0 at its Nyquist index, as in the gradient itself: the
+    real part of the inverse transform drops i k f^ there.
+    """
     g = f.grid
-    axes = tuple(range(1, 1 + g.spatial_dim))
+    N, d = g.points_per_axis, g.spatial_dim
+    axes = tuple(range(1, 1 + d))
+    if energy:
+        k = 2 * np.pi * np.fft.fftfreq(N, d=g.extent / N)
+        k[N // 2] = 0.0  # N is even: the Nyquist index
+        w = np.full(N // 2 + 1, 2.0)
+        w[0] = w[-1] = 1.0
+        k2 = k[: N // 2 + 1] ** 2  # the halved axis: rfftfreq up to the sign of Nyquist
+        for _ in range(d - 1):
+            k2 = np.add.outer(k**2, k2)
+        spec = np.fft.rfftn(f.values, axes=axes)
+        dens = spec.real**2 + spec.imag**2
+        return (dens * (w * k2)).reshape(len(dens), -1).sum(axis=1) * (g.cell_volume / N**d)
     spec = np.fft.fftn(f.values, axes=axes)
-    kmesh = g.wavenumbers()
-    comps = [np.fft.ifftn(1j * k * spec, axes=axes).real for k in kmesh]
+    comps = [np.fft.ifftn(1j * k * spec, axes=axes).real for k in g.wavenumbers()]
     return np.stack(comps, axis=1)
 
 
@@ -155,33 +174,10 @@ def mixed_norm(f: SpaceTimeField, p: float, q: float, alpha: float = 0.0) -> flo
     return _lq_time(per_slice, q, f.grid.times)
 
 
-def gradient_energy(f: SpaceTimeField) -> np.ndarray:
-    """Per slice, the integral of |grad f|^2 as ``spatial_gradient`` would give it.
-
-    By Parseval this is (h^d / N^d) sum_k w |k|^2 |f^(k)|^2 over one
-    ``rfftn``, with w = 2 on the columns that the real transform halves
-    and 1 on its k = 0 and Nyquist columns.  Each axis's wavenumber is 0
-    at its Nyquist index: ``spatial_gradient`` takes the real part of
-    the inverse transform, which drops i k f^ there.
-    """
-    g = f.grid
-    N, d = g.points_per_axis, g.spatial_dim
-    k = 2 * np.pi * np.fft.fftfreq(N, d=g.extent / N)
-    k[N // 2] = 0.0  # N is even: the Nyquist index
-    w = np.full(N // 2 + 1, 2.0)
-    w[0] = w[-1] = 1.0
-    k2 = k[: N // 2 + 1] ** 2  # the halved axis: rfftfreq up to the sign of Nyquist
-    for _ in range(d - 1):
-        k2 = np.add.outer(k**2, k2)
-    spec = np.fft.rfftn(f.values, axes=tuple(range(1, 1 + d)))
-    dens = spec.real**2 + spec.imag**2
-    return (dens * (w * k2)).reshape(len(dens), -1).sum(axis=1) * (g.cell_volume / N**d)
-
-
 def vnorm(f: SpaceTimeField) -> float:
     """Energy norm: L^2-in-space sup-in-time plus space-time L^2 of the gradient."""
     part1 = mixed_norm(f, 2.0, np.inf)
-    part2 = _lq_time(np.sqrt(gradient_energy(f)), 2.0, f.grid.times)
+    part2 = _lq_time(np.sqrt(spatial_gradient(f, energy=True)), 2.0, f.grid.times)
     return part1 + part2
 
 

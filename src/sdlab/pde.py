@@ -355,6 +355,23 @@ def stability_sweep(
     }
 
 
+def sweep_level_of(problem: PDEProblem, config: SolverConfig | None, eps_levels) -> int | None:
+    """Index of the ``stability_sweep`` level whose solve is ``solve(problem, config)``, if any.
+
+    Run on ``problem``'s drift, source, grid and direction, the sweep
+    solves ``problem.drift.mollified(eps)`` with the default config: that
+    is ``problem`` itself at the drift's own level, and at every level for
+    a drift whose mollifier returns the drift itself.
+    """
+    if (config or SolverConfig()) != SolverConfig():
+        return None
+    b = problem.drift
+    for i, eps in enumerate(check_eps_levels(eps_levels)):
+        if eps == b.mollification_level or b.mollified(eps) is b:
+            return i
+    return None
+
+
 def _central_mask(grid: GridSpec) -> np.ndarray:
     mesh = grid.meshgrid()
     inside = np.ones(grid.spatial_shape(), dtype=bool)

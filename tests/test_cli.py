@@ -14,7 +14,6 @@ from sdlab.cli import (
     ConfigError,
     _null_nonfinite,
     _run_config,
-    _sweep_level_of_pde,
     main,
     validate_config_data,
 )
@@ -349,7 +348,7 @@ def test_reused_sweep_solution_is_the_standalone_solve(tmp_path, drift):
         "drift": drift, "source": {"kind": "bump"}, "pde": {},
         "sweep": {"eps_levels": [0.4, 0.1, 0.05]}, "verifiers": [{"name": "stability"}],
     })
-    assert _sweep_level_of_pde(run) is not None
+    assert pde_mod.sweep_level_of(run.problem, run.pde, run.sweep) is not None
     manifest = _run_config(run, tmp_path)
     alone = pde_mod.solve(run.problem, run.pde)
     assert np.array_equal(read_field(tmp_path / "solution.sdlf").values, alone.u.values)

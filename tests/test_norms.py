@@ -11,7 +11,6 @@ from sdlab.norms import (
     NormSpec,
     bessel_apply,
     conjugate_exponents,
-    gradient_energy,
     localized_norm,
     mixed_norm,
     mollifier_kernel,
@@ -305,6 +304,6 @@ def test_vnorm_parseval_matches_spectral_gradient(d, n):
     f = SpaceTimeField(g, values, 1)
     grad = spatial_gradient(f)
     energy = np.sum(grad**2, axis=tuple(range(1, grad.ndim))) * g.cell_volume
-    np.testing.assert_allclose(gradient_energy(f), energy, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(spatial_gradient(f, energy=True), energy, rtol=1e-13, atol=0)
     reference = mixed_norm(f, 2.0, np.inf) + np.sqrt(np.trapezoid(energy, g.times))
     assert vnorm(f) == pytest.approx(reference, rel=1e-13, abs=0)
