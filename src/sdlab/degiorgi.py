@@ -38,18 +38,6 @@ class DeGiorgiState:
     ell_n: tuple
     a_n: float
 
-    def record(self) -> dict:
-        return {
-            "n": self.n,
-            "t_n": self.t_n,
-            "lambda_n": self.lambda_n,
-            "kappa_n": self.kappa_n,
-            "ell_1": self.ell_n[0],
-            "ell_2": self.ell_n[1],
-            "ell_3": self.ell_n[2],
-            "a_n": self.a_n,
-        }
-
 
 def _cylinder_mask(grid: GridSpec, t_n: float, lambda_n: float) -> np.ndarray:
     tmask = (np.abs(grid.times) < t_n).astype(float)

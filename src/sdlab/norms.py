@@ -77,14 +77,6 @@ class NormSpec:
         if not self.cutoff_radius > 0:
             raise ValueError("cutoff radius must be positive")
 
-    def admissible(self, d: int) -> bool:
-        """Whether (alpha, p, q) lies in the admissible exponent region for dim d."""
-        if not 0.0 <= self.alpha <= 1.0:
-            return False
-        if np.isinf(self.p) or np.isinf(self.q):
-            return False
-        return d / self.p + 2.0 / self.q < 2.0 - self.alpha
-
 
 def conjugate_exponents(alpha: float, p: float, q: float) -> tuple[float, float]:
     """The (r, s) pair with 1/((2-a)p) + 1/r = 1/((2-a)q) + 1/s = 1/2."""

@@ -3,13 +3,12 @@
 Diffusion is treated implicitly; advection uses first-order upwinding
 inside the implicit operator, so every step inverts an M-matrix and the
 discrete comparison principle (f >= 0 implies u >= 0) holds exactly.
-A Crank-Nicolson variant is available for smooth accuracy studies and
-an explicit-advection variant with a CFL guard.
+A Crank-Nicolson variant is available for smooth accuracy studies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,10 +24,6 @@ from sdlab.norms import (
     spatial_gradient,
     vnorm,
 )
-
-
-class CFLError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -51,10 +46,10 @@ class PDEProblem:
 
 @dataclass
 class SolverConfig:
-    scheme: str = "implicit"  # implicit | cn | imex
+    scheme: str = "implicit"  # implicit | cn
 
     def __post_init__(self):
-        if self.scheme not in ("implicit", "cn", "imex"):
+        if self.scheme not in ("implicit", "cn"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
@@ -64,7 +59,6 @@ class SolutionBundle:
     sup_norm: float
     v_norm: float
     residual: float
-    meta: dict = field(default_factory=dict)
 
 
 def _neighbor_indices(grid: GridSpec):
@@ -147,29 +141,16 @@ def solve(problem: PDEProblem, config: SolverConfig | None = None) -> SolutionBu
         t = times[k] if not backward else times[-1] - (times[k] - times[0])
         return problem.drift(t, nodes)
 
-    b0 = drift_at(0)
-    if config.scheme == "imex":
-        bmax = float(np.abs(b0).max())
-        if bmax * dt / grid.h > 1.0:
-            raise CFLError(
-                f"explicit advection violates CFL: |b|max*dt/h = {bmax * dt / grid.h:.3g} > 1"
-            )
-
     ident = sp.identity(n, format="csr")
-    if config.scheme == "imex":
-        lap = build_operator(grid, np.zeros_like(b0))
-        lu_lap = _factor(ident - dt * lap)
 
     def step_operators(b):
         """(A, factored implicit matrix, explicit matrix) of one step with drift samples b."""
         A = build_operator(grid, b)
         if config.scheme == "implicit":
             return A, _factor(ident - dt * A), None
-        if config.scheme == "cn":
-            return A, _factor(ident - 0.5 * dt * A), ident + 0.5 * dt * A
-        return A, lu_lap, A - lap
+        return A, _factor(ident - 0.5 * dt * A), ident + 0.5 * dt * A
 
-    A, lu, E = step_operators(b0)
+    A, lu, E = step_operators(drift_at(0))
     u = np.zeros((grid.nt, n))
     residual = 0.0
     for k in range(grid.time_steps):
@@ -177,10 +158,8 @@ def solve(problem: PDEProblem, config: SolverConfig | None = None) -> SolutionBu
             A, lu, E = step_operators(drift_at(k))
         if config.scheme == "implicit":
             rhs = u[k] + dt * fvals[k]
-        elif config.scheme == "cn":
-            rhs = E @ u[k] + dt * 0.5 * (fvals[k] + fvals[k + 1])
         else:
-            rhs = u[k] + dt * (E @ u[k] + fvals[k])
+            rhs = E @ u[k] + dt * 0.5 * (fvals[k] + fvals[k + 1])
         u[k + 1] = lu.solve(rhs)
         if config.scheme == "implicit":
             # discrete defect of this step's implicit relation (solver
@@ -196,12 +175,6 @@ def solve(problem: PDEProblem, config: SolverConfig | None = None) -> SolutionBu
         sup_norm=float(np.abs(u).max()),
         v_norm=vnorm(ufield),
         residual=residual,
-        meta={
-            "scheme": config.scheme,
-            "dt": dt,
-            "direction": problem.direction,
-            "mollification_level": problem.drift.mollification_level,
-        },
     )
 
 

@@ -1,10 +1,10 @@
 """Euler-Maruyama laboratory for dX = b(t,X) dt + sqrt(2) dW.
 
 Ensembles are driven by a counter-based generator keyed by (seed, step),
-so increments can be regenerated on demand (backward flows, refinement
-couplings) instead of stored, and results are independent of evaluation
-order.  Large steps are cut into row blocks with their own counters and
-filled on all cores; the stream depends on the block size, never on the
+so increments can be regenerated on demand (refinement couplings)
+instead of stored, and results are independent of evaluation order.
+Large steps are cut into row blocks with their own counters and filled
+on all cores; the stream depends on the block size, never on the
 number of threads.  Time integrals of path functionals use left-endpoint
 Riemann sums, which makes the f == 1 identities exact rather than
 approximate.
@@ -146,20 +146,11 @@ class TrajectoryEnsemble:
 def _start_array(config: EnsembleConfig) -> np.ndarray:
     _, x = config.start
     x = np.atleast_1d(np.asarray(x, float))
-    d = config.drift.dim
     if x.ndim == 1:
-        x0 = np.tile(x, (config.paths, 1))
-    else:
-        if x.shape != (config.paths, d):
-            raise ValueError("start array must be (paths, dim)")
-        x0 = x.copy()
-    # nudge starts sitting exactly on a drift singularity
-    sd = config.drift.singular_distance
-    if sd is not None:
-        bad = sd(x0) < 1e-12
-        if np.any(bad):
-            x0[bad] += 1e-6
-    return x0
+        return np.tile(x, (config.paths, 1))
+    if x.shape != (config.paths, config.drift.dim):
+        raise ValueError("start array must be (paths, dim)")
+    return x.copy()
 
 
 def _increment(config: EnsembleConfig, k: int) -> np.ndarray:
@@ -361,28 +352,21 @@ def khasminskii_verify(drift: DriftField, start, f, lam: float, s: float = 0.0,
 
 
 # ---------------------------------------------------------------------------
-# backward flow, Jacobian determinant, L1 mass transport
+# Jacobian determinant of the inverse flow, L1 mass transport
 
 
 def backward_flow_det(ens: TrajectoryEnsemble) -> np.ndarray:
-    """det J per path via exp{-int div b along the reconstructed reverse flow}.
+    """det of the inverse flow's Jacobian per path, by Liouville's formula.
 
-    The reverse flow re-uses the forward increments (regenerated from the
-    step keys), inverting each Euler step to first order.
+    The noise is additive, so along the forward path
+    det grad X_{s,t}(x)^{-1} = exp(-int_s^t div b(r, X_r) dr).  The
+    integral is the ensemble's ``"div"`` sum: simulate with
+    ``integrands={"div": drift.divergence}``.
     """
-    cfg = ens.config
-    if cfg.drift.div_fn is None:
-        raise ValueError("drift divergence required for the determinant formula")
-    s, _ = cfg.start
-    dt = cfg.dt
-    y = ens.final_states.copy()
-    div_int = np.zeros(cfg.paths)
-    for k in range(cfg.n_steps - 1, -1, -1):
-        t = s + k * dt
-        y -= cfg.drift(t, y) * dt
-        y -= _increment(cfg, k)
-        div_int += cfg.drift.divergence(t, y) * dt
-    return np.exp(-div_int)
+    if "div" not in ens.integrals:
+        raise ValueError("ensemble has no 'div' integral; simulate it with "
+                         "integrands={'div': drift.divergence}")
+    return np.exp(-ens.integrals["div"])
 
 
 def jacobian_semigroup(drift: DriftField, f, grid, t0: float, t1: float,
@@ -390,9 +374,10 @@ def jacobian_semigroup(drift: DriftField, f, grid, t0: float, t1: float,
     """Mass transport bound ||T f||_1 <= C ||f||_1 with C from det J.
 
     ||T f||_1 = int E|f|(X_{t0,t1}(x)) dx is estimated with uniform
-    starting points over the grid box; det J comes from the backward-flow
-    exponential formula.  For divergence-free drifts the determinant is
-    exactly one and C must not exceed 1 + 3 se.
+    starting points over the grid box; det J comes from the divergence
+    integrated along the same forward paths (``backward_flow_det``).  For
+    divergence-free drifts the determinant is exactly one and C must not
+    exceed 1 + 3 se.
     """
     d = drift.dim
     L = grid.extent
@@ -400,7 +385,7 @@ def jacobian_semigroup(drift: DriftField, f, grid, t0: float, t1: float,
     x0 = gen.uniform(-L / 2, L / 2, size=(paths, d))
     cfg = EnsembleConfig(drift, (t0, x0), t1, dt, paths, seed,
                          store_stride=max(1, int(round((t1 - t0) / dt))))
-    ens = simulate(cfg)
+    ens = simulate(cfg, integrands={"div": drift.divergence})
     vol = L**d
     vals = vol * np.abs(f(ens.final_states))
     l1_out, se = batch_stats(vals)

@@ -4,7 +4,8 @@ A public top-level name or public method counts as used when it is
 referenced outside its own definition: in ``src/``, in ``perfbench/``
 (whose tracer names the layers it wraps by string) or in the acceptance
 gate.  Unit tests do not count, so an analysis that only its own unit
-test reaches shows up here.
+test reaches shows up here.  References are counted by bare name, so a
+public name must be defined only once.
 """
 
 import ast
@@ -67,6 +68,14 @@ def _public_definitions():
                     for item in defn.body:
                         if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                             yield f"{module}.{name}.{item.name}", item.name, item
+
+
+def test_public_names_defined_once():
+    # callers are counted by bare name: a second definition would share the first one's
+    defs = list(_public_definitions())
+    counts = Counter(name for _, name, _ in defs)
+    twice = {qual for qual, name, _ in defs if counts[name] > 1}
+    assert not twice, "public names defined more than once in sdlab"
 
 
 def test_public_api_has_callers():

@@ -272,6 +272,7 @@ VALUE_FAULTS = {
                          "path"),
     "rising-ladder": (lambda c: c.update(sweep={"eps_levels": [0.1, 0.2]}), "eps_levels"),
     "grid-dim-64": (lambda c: c["grid"].update(dim=64), "grid: spatial_dim"),
+    "imex": (lambda c: c["pde"].update(scheme="imex"), "pde: unknown scheme 'imex'"),
     # the verifiers' own spans must be whole numbers of dt too
     "feynman-kac-off-grid": (lambda c: c["ensemble"].update(horizon=0.48, dt=0.04),
                              "verifiers[2] (feynman-kac): t1 - 0 = 0.5"),

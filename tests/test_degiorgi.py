@@ -119,11 +119,3 @@ def test_threshold_kappa_scaling_covariance():
     rep1 = threshold_kappa(u, SPECS)
     rep2 = threshold_kappa(SpaceTimeField(g, 2 * u.values, 1), SPECS)
     assert rep2["kappa"] / rep1["kappa"] == pytest.approx(2.0, rel=1e-9)
-
-
-def test_state_records_plot_ready():
-    g = q2_grid()
-    states, _ = run_iteration(bump_field(g), SPECS, 0.5, 5)
-    rec = states[0].record()
-    for key in ("n", "t_n", "lambda_n", "kappa_n", "ell_1", "ell_2", "ell_3", "a_n"):
-        assert key in rec

@@ -91,12 +91,6 @@ def test_norm_spec_validation():
         NormSpec(0.5, 1.0, 8.0)
 
 
-def test_admissibility_region():
-    # d/p + 2/q < 2 - alpha
-    assert NormSpec(0.0, 4.0, 4.0).admissible(2)  # 0.5 + 0.5 < 2
-    assert not NormSpec(1.0, 3.0, 2.0).admissible(3)  # 1 + 1 = 2 > 1
-
-
 def test_conjugate_exponent_identity():
     # 1/((2-alpha) p) + 1/r = 1/2 and same in time
     for alpha, p, q in [(0.0, 4.0, 6.0), (0.5, 5.0, 10.0), (0.25, 3.0, 8.0)]:

@@ -14,7 +14,6 @@ from sdlab.drifts import (
 from sdlab.grids import GridSpec, SpaceTimeField, write_field
 from sdlab.norms import NormSpec
 from sdlab.pde import (
-    CFLError,
     PDEProblem,
     SolverConfig,
     _factor,
@@ -143,15 +142,6 @@ def test_external_constant_in_time_drift_is_autonomous(tmp_path):
     assert not load_external(tmp_path / "b.sdlf").time_dependent
 
 
-def test_cfl_guard_for_explicit_advection():
-    g = GridSpec(1, 2.0, 32, 0.0, 0.5, 10)  # dt = 0.05, h = 1/16
-    with pytest.raises(CFLError):
-        solve(
-            PDEProblem(constant_drift([10.0]).mollified(1.0), ones_source(g), g),
-            SolverConfig(scheme="imex"),
-        )
-
-
 def test_rejects_unmollified_drift():
     g = GridSpec(2, 4.0, 16, 0.0, 0.25, 10)
     with pytest.raises(ValueError):
@@ -197,15 +187,14 @@ def test_energy_monitor_report():
     assert np.isfinite(rep["c_emp_max"]) and rep["c_emp_max"] >= 0
 
 
-@pytest.mark.parametrize("scheme", ["implicit", "cn", "imex"])
+@pytest.mark.parametrize("scheme", ["implicit", "cn"])
 def test_factor_solves_step_matrix_without_row_exchange(monkeypatch, scheme):
     # strong enough that partial pivoting would exchange rows at the origin's column
     g = GridSpec(2, 4.0, 8, 0.0, 1.0, 4)
     nodes = g.nodes()
     A = build_operator(g, radial_drift(10.0, 2, 0.2)(0.0, nodes))
     ident = sp.identity(len(nodes), format="csr")
-    M = {"implicit": ident - g.dt * A, "cn": ident - 0.5 * g.dt * A,
-         "imex": ident - g.dt * build_operator(g, np.zeros_like(nodes))}[scheme]
+    M = {"implicit": ident - g.dt * A, "cn": ident - 0.5 * g.dt * A}[scheme]
     real, orderings = spla.splu, []
     monkeypatch.setattr(spla, "splu", lambda A, **kw: orderings.append(kw.get("permc_spec"))
                         or real(A, **kw))

@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 import scipy.stats
 
 from sdlab import sde
-from sdlab.drifts import linear_drift, load_external, radial_drift, zero_drift
+from sdlab.drifts import DriftField, linear_drift, load_external, radial_drift, zero_drift
 from sdlab.grids import GridSpec, SpaceTimeField, write_field
 from sdlab.pde import PDEProblem, build_operator, solve
 from sdlab.sde import (
@@ -331,8 +331,50 @@ def test_markov_radial_across_seeds():
 def test_backward_flow_det_pure_brownian_exact():
     cfg = EnsembleConfig(BROWNIAN, (0.0, [0.0, 0.0]), 0.25, 0.01, 500, 29,
                          store_stride=25)
-    dets = backward_flow_det(simulate(cfg))
+    dets = backward_flow_det(simulate(cfg, integrands={"div": BROWNIAN.divergence}))
     assert np.allclose(dets, 1.0, atol=1e-14)
+
+
+def test_backward_flow_det_is_liouville_on_the_forward_path():
+    drift = radial_drift(0.5, 2, 0.1)
+    cfg = EnsembleConfig(drift, (0.0, [0.3, 0.0]), 0.1, 0.005, 200, 31, store_stride=1)
+    ens = simulate(cfg, integrands={"div": drift.divergence})
+    div_int = np.zeros(cfg.paths)
+    for k in range(cfg.n_steps):
+        div_int += drift.divergence(ens.times[k], ens.states[:, k]) * cfg.dt
+    assert np.array_equal(backward_flow_det(ens), np.exp(-div_int))
+
+
+def test_jacobian_semigroup_steps_once(monkeypatch):
+    counts = {"normals": 0, "drift": 0}
+    normals, call = sde.step_normals, DriftField.__call__
+
+    def counted_normals(*a):
+        counts["normals"] += 1
+        return normals(*a)
+
+    def counted_call(self, t, X):
+        counts["drift"] += 1
+        return call(self, t, X)
+
+    monkeypatch.setattr(sde, "step_normals", counted_normals)
+    monkeypatch.setattr(DriftField, "__call__", counted_call)
+    g = GridSpec(2, 4.0, 32, 0.0, 0.25, 4)
+    jacobian_semigroup(radial_drift(0.5, 2, 0.1), lambda X: np.exp(-np.sum(X**2, axis=1)), g,
+                       0.0, 0.1, dt=0.01, paths=400, seed=32)
+    # n_steps = 10: no step is drawn or evaluated a second time
+    assert counts == {"normals": 10, "drift": 10}
+
+
+def test_jacobian_determinant_needs_the_divergence():
+    cfg = EnsembleConfig(BROWNIAN, (0.0, [0.0, 0.0]), 0.1, 0.01, 200, 33)
+    with pytest.raises(ValueError, match="'div'"):
+        backward_flow_det(simulate(cfg))
+    no_div = DriftField(2, lambda t, X: np.zeros_like(X), mollification_level=1.0)
+    g = GridSpec(2, 4.0, 32, 0.0, 0.25, 4)
+    with pytest.raises(ValueError, match="divergence"):
+        jacobian_semigroup(no_div, lambda X: np.ones(len(X)), g, 0.0, 0.1, dt=0.01,
+                           paths=200, seed=34)
 
 
 def test_ensemble_save_load_roundtrip(tmp_path):
