@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sdlab.grids import GridSpec, SpaceTimeField
-from sdlab.norms import conjugate_exponents, mixed_norm
+from sdlab.grids import SpaceTimeField
+from sdlab.norms import _lp_space, _lq_time, conjugate_exponents
 
 
 def t_seq(n: int) -> float:
@@ -39,18 +39,25 @@ class DeGiorgiState:
     a_n: float
 
 
-def _cylinder_mask(grid: GridSpec, t_n: float, lambda_n: float) -> np.ndarray:
-    tmask = (np.abs(grid.times) < t_n).astype(float)
-    rho = np.sqrt(sum(m**2 for m in grid.meshgrid()))
-    smask = (rho < lambda_n).astype(float)
-    return tmask.reshape((-1,) + (1,) * grid.spatial_dim) * smask[None]
+def _level_norms(u: SpaceTimeField, rho: np.ndarray, kappa_n: float, t_n: float,
+                 lambda_n: float, rs_pairs):
+    """The (r, s) mixed norms of (u - kappa_n)^+ restricted to Gamma_n.
 
-
-def _level_norms(u: SpaceTimeField, kappa_n: float, t_n: float, lambda_n: float, rs_pairs):
+    Only Gamma_n's nodes, |t| < t_n and |x| < lambda_n (``rho`` = |x| on
+    the nodes), are raised to a power; the slices outside stay zero, so
+    the trapezoid still runs over every time.  Each distinct pair is
+    computed once.
+    """
     grid = u.grid
-    w = np.maximum(u.values - kappa_n, 0.0) * _cylinder_mask(grid, t_n, lambda_n)
-    wf = SpaceTimeField(grid, w, 1)
-    return tuple(mixed_norm(wf, r, s) for r, s in rs_pairs)
+    in_time = np.abs(grid.times) < t_n
+    w = np.maximum(u.values[in_time][:, rho < lambda_n] - kappa_n, 0.0)
+    by_pair = {}
+    for r, s in dict.fromkeys(rs_pairs):
+        per_slice = np.zeros(grid.nt)
+        if w.size:
+            per_slice[in_time] = _lp_space(w, r, grid.cell_volume)
+        by_pair[r, s] = _lq_time(per_slice, s, grid.times)
+    return tuple(by_pair[pair] for pair in rs_pairs)
 
 
 def fit_recursion(a_seq) -> dict:
@@ -98,11 +105,12 @@ def run_iteration(u, exponents, kappa: float, n_max: int = 12):
     if len(exponents) != 3:
         raise ValueError("exactly three exponent triples expected")
     rs_pairs = [conjugate_exponents(s.alpha, s.p, s.q) for s in exponents]
+    rho = np.sqrt(sum(m**2 for m in grid.meshgrid()))
 
     states = []
     for n in range(1, n_max + 1):
         tn, ln, kn = t_seq(n), lambda_seq(n), kappa_seq(kappa, n)
-        ell = _level_norms(field, kn, tn, ln, rs_pairs)
+        ell = _level_norms(field, rho, kn, tn, ln, rs_pairs)
         states.append(DeGiorgiState(n, tn, ln, kn, ell, sum(ell) / kappa))
     fit = fit_recursion([s.a_n for s in states])
     return states, fit

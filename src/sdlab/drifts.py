@@ -83,12 +83,16 @@ class DriftField:
             needs_fallback = self.singular_distance(X) < grid.h / 2
         slices = []
         fallback = self.mollified(grid.h) if needs_fallback is not None and needs_fallback.any() else None
-        for t in grid.times:
+        # a frozen field is sampled once, at the first time, and repeated
+        times = grid.times if self.time_dependent else grid.times[:1]
+        for t in times:
             with np.errstate(divide="ignore", invalid="ignore"):
                 vals = extract(self, t, X)
             if fallback is not None:
                 vals = np.where(needs_fallback, extract(fallback, t, X), vals)
             slices.append(vals.reshape(shape))
+        if not self.time_dependent:
+            slices *= grid.nt
         return SpaceTimeField(grid, np.stack(slices), 1)
 
 
@@ -108,12 +112,20 @@ def radial_drift(c: float, d: int, eps: float = 0.0) -> DriftField:
 
     e2 = eps * eps
 
+    def sq_norm(X):
+        # |x|^2 summed coordinate by coordinate, in np.sum's order, so the
+        # same bits; a reduction over the short last axis is several times slower
+        u = X[..., 0] * X[..., 0]
+        for i in range(1, d):
+            u += X[..., i] * X[..., i]
+        return u
+
     def ev(t, X):
-        u = np.sum(X * X, axis=-1, keepdims=True)
+        u = sq_norm(X)[..., None]
         return -c * X / (u + e2) if e2 > 0 else -c * X / u
 
     def dv(t, X):
-        u = np.sum(X * X, axis=-1)
+        u = sq_norm(X)
         if e2 > 0:
             return -c * ((d - 2) * u + d * e2) / (u + e2) ** 2
         return -c * (d - 2) / u

@@ -141,18 +141,26 @@ def spatial_gradient(f: SpaceTimeField, energy: bool = False) -> np.ndarray:
 
 
 def _lp_space(values: np.ndarray, p: float, cell_volume: float) -> np.ndarray:
-    """L^p norm over the trailing spatial axes, for each time slice."""
+    """L^p norm over the trailing spatial axes, for each time slice.
+
+    A slice with no nodes (an empty window) has norm 0.
+    """
     nt = values.shape[0]
     flat = np.abs(values).reshape(nt, -1)
     if np.isinf(p):
-        return flat.max(axis=1)
+        return flat.max(axis=1, initial=0.0)
     return (np.sum(flat**p, axis=1) * cell_volume) ** (1.0 / p)
 
 
 def _lq_time(slice_norms: np.ndarray, q: float, times: np.ndarray) -> float:
+    """L^q in time over the last axis; of a stack of rows, the largest row norm.
+
+    The root is taken once, of the largest integral: x -> x^(1/q) is
+    monotone, so this is the max of the rows' norms.
+    """
     if np.isinf(q):
         return float(slice_norms.max())
-    return float(np.trapezoid(slice_norms**q, times) ** (1.0 / q))
+    return float(np.max(np.trapezoid(slice_norms**q, times, axis=-1)) ** (1.0 / q))
 
 
 def mixed_norm(f: SpaceTimeField, p: float, q: float, alpha: float = 0.0) -> float:
@@ -197,18 +205,32 @@ class CutoffFamily:
     def profile_space(self, dist):
         return smooth_transition(np.asarray(dist) / self.radius, 1.0, 2.0)
 
-    def spatial(self, grid: GridSpec, z) -> np.ndarray:
-        """The spatial factor xi_r(x - z) on the grid nodes, shape (N, ..., N).
+    def window(self, grid: GridSpec, z):
+        """xi_r(x - z) on the nodes where it can be nonzero: (index, values).
 
-        Displacement is taken minimum-image, so supports must not wrap
-        (requires L >= 8r, enforced by the caller's grid choice).
+        xi vanishes once |x_i - z_i| >= 2r on any axis, so the window is
+        the product of each axis's nodes within 2r of z_i.  Displacement
+        is taken minimum-image, so a support must not wrap onto itself
+        (requires L >= 8r, enforced by the caller's grid choice); a window
+        at the box edge wraps to the other side.  ``index`` picks
+        the window out of the trailing spatial axes: basic slices, a
+        view, when every axis's nodes are one run, else ``np.ix_``.
         """
-        z = np.asarray(z, dtype=np.float64)
-        mesh = grid.meshgrid()
-        dist = np.sqrt(
-            sum(grid.wrap(m - z[i]) ** 2 for i, m in enumerate(mesh))
-        )
-        return self.profile_space(dist)
+        disps = [grid.wrap(grid.axis - zi) for zi in np.ravel(z)]
+        nodes = [np.flatnonzero(np.abs(d) < 2 * self.radius) for d in disps]
+        dist = np.sqrt(sum(m**2 for m in np.ix_(*[d[n] for d, n in zip(disps, nodes)])))
+        if all(n.size and n[-1] - n[0] + 1 == n.size for n in nodes):
+            index = tuple(slice(n[0], n[-1] + 1) for n in nodes)
+        else:
+            index = np.ix_(*nodes)
+        return index, self.profile_space(dist)
+
+    def spatial(self, grid: GridSpec, z) -> np.ndarray:
+        """The spatial factor xi_r(x - z) on the grid nodes, shape (N, ..., N)."""
+        index, xi = self.window(grid, z)
+        out = np.zeros(grid.spatial_shape())
+        out[index] = xi
+        return out
 
     def evaluate(self, grid: GridSpec, center: tuple) -> np.ndarray:
         """chi_r^{s,z} = tau_r(t - s) xi_r(x - z) on the grid, shape (nt, N, ..., N)."""
@@ -241,7 +263,8 @@ def localized_norm(f: SpaceTimeField, spec: NormSpec, cutoffs: CutoffFamily | No
     refines.  Since chi = tau(t - s) xi(x - z) with tau >= 0 and the
     Bessel potential acts slice by slice, the slice norms of f * chi are
     tau(t - s) times those of f * xi: they are computed once per distinct
-    spatial center and scaled for each time center.
+    spatial center, with alpha = 0 on xi's window only, and the L^q in
+    time runs over all time centers of that spatial center at once.
     """
     if not f.is_scalar:
         raise ValueError("localized_norm expects a scalar field")
@@ -251,18 +274,21 @@ def localized_norm(f: SpaceTimeField, spec: NormSpec, cutoffs: CutoffFamily | No
     centers = cutoffs.lattice_centers(g)
     if not centers:
         raise ValueError("cutoff family has an empty center lattice")
-    slice_norms = {}
+    times = g.times
+    times_at = {}
+    for s, z in centers:
+        times_at.setdefault(tuple(np.ravel(z)), []).append(s)
+    profiles = {s: cutoffs.profile_time(times - s) for s in {c[0] for c in centers}}
     best = -np.inf
-    for c in centers:
-        s, z = c[0], c[1]
-        key = tuple(np.ravel(z))
-        per_slice = slice_norms.get(key)
-        if per_slice is None:
-            local = f.copy_with(f.values * cutoffs.spatial(g, z))
-            if spec.alpha != 0.0:
-                local = bessel_apply(local, spec.alpha)
-            per_slice = slice_norms[key] = _lp_space(local.values, spec.p, g.cell_volume)
-        best = max(best, _lq_time(cutoffs.profile_time(g.times - s) * per_slice, spec.q, g.times))
+    for z, ss in times_at.items():
+        if spec.alpha == 0.0:
+            index, xi = cutoffs.window(g, z)
+            local = f.values[(slice(None),) + index] * xi
+        else:
+            local = bessel_apply(f.copy_with(f.values * cutoffs.spatial(g, z)), spec.alpha).values
+        per_slice = _lp_space(local, spec.p, g.cell_volume)
+        taus = np.stack([profiles[s] for s in ss])
+        best = max(best, _lq_time(taus * per_slice, spec.q, times))
     return best
 
 

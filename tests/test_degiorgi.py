@@ -11,9 +11,11 @@ from sdlab.degiorgi import (
     threshold_kappa,
 )
 from sdlab.grids import GridSpec, SpaceTimeField
-from sdlab.norms import NormSpec
+from sdlab.norms import NormSpec, conjugate_exponents, mixed_norm
 
 SPECS = [NormSpec(0.0, 10.0, 10.0)] * 3
+# two triples with one r and different s, and one with r = inf
+DISTINCT = [NormSpec(0.0, 10.0, 10.0), NormSpec(0.0, 10.0, 6.0), NormSpec(1.0, 1.5, 3.0)]
 
 
 def q2_grid(n=32, steps=60):
@@ -119,3 +121,33 @@ def test_threshold_kappa_scaling_covariance():
     rep1 = threshold_kappa(u, SPECS)
     rep2 = threshold_kappa(SpaceTimeField(g, 2 * u.values, 1), SPECS)
     assert rep2["kappa"] / rep1["kappa"] == pytest.approx(2.0, rel=1e-9)
+
+
+def _cylinder_mask(grid, t_n, lambda_n):
+    tmask = (np.abs(grid.times) < t_n).astype(float)
+    rho = np.sqrt(sum(m**2 for m in grid.meshgrid()))
+    smask = (rho < lambda_n).astype(float)
+    return tmask.reshape((-1,) + (1,) * grid.spatial_dim) * smask[None]
+
+
+def _level_norms_full_grid(u, kappa_n, t_n, lambda_n, rs_pairs):
+    """The ladder's norms as mixed norms of (u - kappa_n)^+ masked to Gamma_n on the whole grid."""
+    w = np.maximum(u.values - kappa_n, 0.0) * _cylinder_mask(u.grid, t_n, lambda_n)
+    wf = SpaceTimeField(u.grid, w, 1)
+    return tuple(mixed_norm(wf, r, s) for r, s in rs_pairs)
+
+
+@pytest.mark.parametrize("specs", [SPECS, DISTINCT], ids=["equal", "distinct"])
+@pytest.mark.parametrize("grid", [q2_grid(), GridSpec(2, 8.0, 32, -4.5, 4.5, 18)],
+                         ids=["q2", "nodes-on-edges"])
+def test_level_norms_match_full_grid(specs, grid):
+    # the second grid has nodes on Gamma_1's edges, |t| = 4 and |x| = 2; u is
+    # positive, so at kappa_1 = 0 every node of Gamma_1 counts
+    u = SpaceTimeField(grid, 0.2 + bump_field(grid).values, 1)
+    pairs = [conjugate_exponents(s.alpha, s.p, s.q) for s in specs]
+    sup = float(u.values.max())
+    for kappa in (0.1 * sup, 0.5 * sup, sup):
+        states, _ = run_iteration(u, specs, kappa, 8)
+        for st in states:
+            want = _level_norms_full_grid(u, st.kappa_n, st.t_n, st.lambda_n, pairs)
+            np.testing.assert_allclose(st.ell_n, want, rtol=1e-13, atol=0)

@@ -23,6 +23,42 @@ def test_radial_drift_closed_form():
     assert b.divergence(0.0, x)[0] == pytest.approx(-0.5)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_radial_drift_bits_match_np_sum(d, eps):
+    # the coordinate-by-coordinate |x|^2 gives np.sum's bits, so no artifact moves
+    c, e2 = 0.5, eps * eps
+    b = radial_drift(c, d, eps)
+    rng = np.random.default_rng(d)
+    for shape in ((100_000, d), (4096, d), (7, 5, d)):
+        X = 3.0 * rng.standard_normal(shape)
+        u = np.sum(X * X, axis=-1)
+        if e2 > 0:
+            ev = -c * X / (u[..., None] + e2)
+            dv = -c * ((d - 2) * u + d * e2) / (u + e2) ** 2
+        else:
+            ev, dv = -c * X / u[..., None], -c * (d - 2) / u
+        assert np.array_equal(b(0.0, X), ev)
+        assert np.array_equal(b.divergence(0.0, X), dv)
+
+
+def test_frozen_drift_sampled_once():
+    calls = []
+    g = GridSpec(2, 4.0, 8, 0.0, 1.0, 4)
+    for time_dependent in (False, True):
+        calls.clear()
+        b = drifts.DriftField(2, lambda t, X: calls.append(t) or (1.0 + t) * X,
+                              mollification_level=1.0, time_dependent=time_dependent)
+        speed = b.sample_speed(g).values
+        if time_dependent:
+            assert calls == list(g.times)
+            assert speed[-1] == pytest.approx(2.0 * speed[0])
+        else:
+            # frozen at its first time, as a solver freezes it
+            assert calls == [g.times[0]]
+            assert all(np.array_equal(v, speed[0]) for v in speed)
+
+
 def test_radial_drift_scaling_symmetry():
     b = radial_drift(0.7, 3)
     x = np.array([[0.3, -0.4, 1.1]])

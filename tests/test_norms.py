@@ -217,24 +217,76 @@ def test_localized_norm_bounded_by_global():
     assert localized_norm(f, spec) <= mixed_norm(f, 3.0, 4.0) * (1 + 1e-9)
 
 
+def _full_grid_xi(fam, g, z):
+    """xi_r(x - z) on every node, from the minimum-image distance: no window."""
+    dist = np.sqrt(sum(g.wrap(m - z[i]) ** 2 for i, m in enumerate(g.meshgrid())))
+    return fam.profile_space(dist)
+
+
 def _localized_norm_loop(f, spec, fam):
-    """Max over centers of mixed_norm(f * chi), chi evaluated per center."""
-    return max(mixed_norm(f.copy_with(f.values * fam.evaluate(f.grid, c)), spec.p, spec.q, spec.alpha)
-               for c in fam.lattice_centers(f.grid))
+    """Max over centers of mixed_norm(f * chi), chi evaluated per center on the whole grid."""
+    g = f.grid
+    tau_shape = (-1,) + (1,) * g.spatial_dim
+    return max(mixed_norm(f.copy_with(f.values * fam.profile_time(g.times - s).reshape(tau_shape)
+                                      * _full_grid_xi(fam, g, z)), spec.p, spec.q, spec.alpha)
+               for s, z in fam.lattice_centers(g))
+
+
+def _spatial_centers(g):
+    """Spatial centers at the origin, at z = -L/2 (the window wraps) and off the nodes."""
+    d, L = g.spatial_dim, g.extent
+    return [np.zeros(d), np.full(d, -L / 2), np.linspace(-1.1, 1.3, d)]
+
+
+# (grid, cutoff families): the time window of 3 r^2 makes the time profile vary
+# across centers; two time centers share each spatial center
+_G2 = GridSpec(2, 8.0, 16, 0.0, 3.0, 6)
+WINDOW_CASES = {
+    "2d": (_G2, [CutoffFamily(radius=1.0)]),
+    "2d-custom": (_G2, [CutoffFamily(1.0, [(0.5, np.zeros(2)), (2.0, np.zeros(2)),
+                                            (1.0, np.array([1.0, -2.0]))])]),
+    "1d": (GridSpec(1, 8.0, 16, 0.0, 3.0, 6), None),
+    "3d": (GridSpec(3, 8.0, 16, 0.0, 3.0, 6), None),
+    # |x_i - z_i| <= L/2 = 1.5 < 2r: the window covers every axis
+    "covers": (GridSpec(2, 3.0, 8, 0.0, 3.0, 6), None),
+    # every node lies 0.25 or more from z, beyond 2r = 0.1: an empty window
+    "empty": (_G2, [CutoffFamily(0.05, [(1.0, np.array([0.25, 0.25]))])]),
+}
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0])
 @pytest.mark.parametrize("q", [4.0, np.inf])
 def test_localized_norm_matches_direct_loop(alpha, q):
-    # a time window of 3 r^2 makes the time profile vary across centers
-    g = GridSpec(2, 8.0, 16, 0.0, 3.0, 6)
     rng = np.random.default_rng(17)
-    f = SpaceTimeField(g, rng.standard_normal((g.nt, 16, 16)), 1)
-    spec = NormSpec(alpha, 3.0, q, 1.0)
-    custom = CutoffFamily(1.0, [(0.5, np.zeros(2)), (2.0, np.zeros(2)), (1.0, np.array([1.0, -2.0]))])
-    for fam in (CutoffFamily(radius=1.0), custom):
-        assert localized_norm(f, spec, fam) == pytest.approx(_localized_norm_loop(f, spec, fam),
-                                                             rel=1e-12)
+    for name, (g, fams) in WINDOW_CASES.items():
+        f = SpaceTimeField(g, rng.standard_normal((g.nt, *g.spatial_shape())), 1)
+        if fams is None:
+            # each spatial center alone, so that no other center's norm hides its own
+            fams = [CutoffFamily(1.0, [(s, z) for s in (0.5, 2.0)])
+                    for z in _spatial_centers(g)]
+        # the loop over the default lattice is the slow part: p = inf runs on the others
+        for p in (3.0,) if name == "2d" else (3.0, np.inf):
+            spec = NormSpec(alpha, p, q, 1.0)
+            for fam in fams:
+                got, want = localized_norm(f, spec, fam), _localized_norm_loop(f, spec, fam)
+                assert got == pytest.approx(want, rel=1e-12), (name, p, fam.centers)
+                if name == "empty":
+                    assert got == want == 0.0
+
+
+def test_cutoff_window_is_the_support():
+    g = GridSpec(2, 8.0, 16, 0.0, 1.0, 2)
+    fam = CutoffFamily(1.0)
+    for z in _spatial_centers(g):
+        index, xi = fam.window(g, z)
+        full = _full_grid_xi(fam, g, z)
+        assert np.array_equal(full[index], xi)
+        assert np.array_equal(fam.spatial(g, z), full)
+        outside = np.ones(g.spatial_shape(), bool)
+        outside[index] = False
+        assert np.all(full[outside] == 0.0)
+    # a window away from the box edge is a view: basic slices
+    assert all(isinstance(i, slice) for i in fam.window(g, np.zeros(2))[0])
 
 
 def test_mollifier_kernel_mass_and_support():
