@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sdlab.grids import SpaceTimeField
-from sdlab.norms import _lp_space, _lq_time, conjugate_exponents
+from sdlab.norms import _lp_space, _lq_time, conjugate_exponents, mixed_norm
 
 
 def t_seq(n: int) -> float:
@@ -152,7 +152,7 @@ def threshold_kappa(u, exponents) -> dict:
     reported rather than raised.
     """
     field = u.u if hasattr(u, "u") else u
-    scale = float(np.abs(field.values).max())
+    scale = mixed_norm(field, np.inf, np.inf)  # sup |u|
     n_max = 8
 
     def certifies(kappa: float) -> bool:

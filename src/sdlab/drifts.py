@@ -113,8 +113,9 @@ def radial_drift(c: float, d: int, eps: float = 0.0) -> DriftField:
     e2 = eps * eps
 
     def sq_norm(X):
-        # |x|^2 summed coordinate by coordinate, in np.sum's order, so the
-        # same bits; a reduction over the short last axis is several times slower
+        # |x|^2 summed coordinate by coordinate, in np.sum's order, so the same
+        # bits for d < 8 (from 8 on np.sum splits the axis into eight partial
+        # sums); a reduction over the short last axis is several times slower
         u = X[..., 0] * X[..., 0]
         for i in range(1, d):
             u += X[..., i] * X[..., i]

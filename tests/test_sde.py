@@ -346,8 +346,8 @@ def test_backward_flow_det_is_liouville_on_the_forward_path():
 
 
 def test_jacobian_semigroup_steps_once(monkeypatch):
-    counts = {"normals": 0, "drift": 0, "div": 0}
-    normals, call, div = sde.step_normals, DriftField.__call__, DriftField.divergence
+    counts = {"normals": 0, "drift": 0}
+    normals, call = sde.step_normals, DriftField.__call__
 
     def counted_normals(*a):
         counts["normals"] += 1
@@ -357,19 +357,13 @@ def test_jacobian_semigroup_steps_once(monkeypatch):
         counts["drift"] += 1
         return call(self, t, X)
 
-    def counted_div(self, t, X):
-        counts["div"] += 1
-        return div(self, t, X)
-
     monkeypatch.setattr(sde, "step_normals", counted_normals)
     monkeypatch.setattr(DriftField, "__call__", counted_call)
-    monkeypatch.setattr(DriftField, "divergence", counted_div)
     g = GridSpec(2, 4.0, 32, 0.0, 0.25, 4)
     jacobian_semigroup(radial_drift(0.5, 2, 0.1), lambda X: np.exp(-np.sum(X**2, axis=1)), g,
                        0.0, 0.1, dt=0.01, paths=400, seed=32)
-    # n_steps = 10: no step is drawn or evaluated a second time, and the
-    # divergence-free test reads the first step's divergence
-    assert counts == {"normals": 10, "drift": 10, "div": 10}
+    # n_steps = 10: no step is drawn or evaluated a second time
+    assert counts == {"normals": 10, "drift": 10}
 
 
 def test_jacobian_determinant_needs_the_divergence():
