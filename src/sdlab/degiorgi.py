@@ -49,14 +49,15 @@ def _level_norms(u: SpaceTimeField, rho: np.ndarray, kappa_n: float, t_n: float,
     computed once.
     """
     grid = u.grid
-    in_time = np.abs(grid.times) < t_n
+    times = grid.times
+    in_time = np.abs(times) < t_n
     w = np.maximum(u.values[in_time][:, rho < lambda_n] - kappa_n, 0.0)
     by_pair = {}
     for r, s in dict.fromkeys(rs_pairs):
         per_slice = np.zeros(grid.nt)
         if w.size:
             per_slice[in_time] = _lp_space(w, r, grid.cell_volume)
-        by_pair[r, s] = _lq_time(per_slice, s, grid.times)
+        by_pair[r, s] = _lq_time(per_slice, s, times)
     return tuple(by_pair[pair] for pair in rs_pairs)
 
 

@@ -29,7 +29,8 @@ class DriftField:
     """An evaluable vector field with divergence info.
 
     ``eval_fn(t, X)`` takes X of shape (..., d) and returns the same
-    shape; ``div_fn`` returns shape (...).  ``mollifier(eps)`` builds
+    shape; ``div_fn`` returns shape (...).  ``joint_fn``, if set, returns
+    both from one pass, bit-equal to the two.  ``mollifier(eps)`` builds
     the field regularized at scale eps > 0.  A solver freezes the field
     at its first time unless ``time_dependent`` is set.
     """
@@ -43,6 +44,7 @@ class DriftField:
     metadata: dict = field(default_factory=dict)
     mollifier: Callable | None = None
     time_dependent: bool = False
+    joint_fn: Callable | None = None
 
     def __call__(self, t, X) -> np.ndarray:
         return np.asarray(self.eval_fn(t, np.asarray(X, dtype=np.float64)))
@@ -51,6 +53,12 @@ class DriftField:
         if self.div_fn is None:
             raise ValueError("drift has no divergence information")
         return np.asarray(self.div_fn(t, np.asarray(X, dtype=np.float64)))
+
+    def value_and_divergence(self, t, X) -> tuple[np.ndarray, np.ndarray]:
+        """(b(t, X), div b(t, X)), from one ``joint_fn`` call where there is one."""
+        if self.joint_fn is None:
+            return self(t, X), self.divergence(t, X)
+        return self.joint_fn(t, np.asarray(X, dtype=np.float64))
 
     def div_negative(self, t, X) -> np.ndarray:
         """(div b)^-, the negative part of the divergence."""
@@ -192,37 +200,29 @@ def lattice_drift(
         # minimum image; rint is far cheaper per element than float %
         return v - Lp * np.rint(v / Lp)
 
-    def _terms(X):
-        # yields (gamma, displacement, rho2) per lattice point; coordinates
-        # lead, shape (d, ...), so every array operation runs over the points
+    def spikes(X, with_div):
+        # one pass over the lattice points builds b, and div b when asked, from
+        # the terms they share; coordinates lead, shape (d, ...), so every array
+        # operation runs over the points.  Without div b the profile's
+        # derivative is never taken; div b alone is read off the joint pass.
         Xt = np.ascontiguousarray(np.moveaxis(X, -1, 0))
         lead = (slice(None),) + (None,) * (X.ndim - 1)
+        b = np.zeros(Xt.shape)
+        div = np.zeros(X.shape[:-1]) if with_div else None
         for gamma, z in zip(gammas, zs):
             disp = wrap(Xt - z[lead])
             rho2 = sum(c * c for c in disp)
-            yield gamma, disp, rho2
-
-    def ev(t, X):
-        out = np.zeros((d,) + X.shape[:-1])
-        for gamma, disp, rho2 in _terms(X):
-            u = rho2 + e2
-            rho = np.sqrt(rho2)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                g = u ** (-a / 2.0) * _phi(rho)
-            out += gamma * disp * g
-        return np.ascontiguousarray(np.moveaxis(out, 0, -1))
-
-    def dv(t, X):
-        out = np.zeros(X.shape[:-1])
-        for gamma, disp, rho2 in _terms(X):
             u = rho2 + e2
             rho = np.sqrt(rho2)
             with np.errstate(divide="ignore", invalid="ignore"):
                 g = u ** (-a / 2.0)
-                phi, dphi = _phi_and_prime(rho)
-                term = g * ((d - a * rho2 / u) * phi + rho * dphi)
-            out += gamma * term
-        return out
+                if with_div:
+                    phi, dphi = _phi_and_prime(rho)
+                    div += gamma * (g * ((d - a * rho2 / u) * phi + rho * dphi))
+                else:
+                    phi = _phi(rho)
+                b += gamma * disp * (g * phi)
+        return np.ascontiguousarray(np.moveaxis(b, 0, -1)), div
 
     def sdist(X):
         frac = X - np.round(X)
@@ -230,8 +230,9 @@ def lattice_drift(
 
     return DriftField(
         dim=d,
-        eval_fn=ev,
-        div_fn=dv,
+        eval_fn=lambda t, X: spikes(X, False)[0],
+        div_fn=lambda t, X: spikes(X, True)[1],
+        joint_fn=lambda t, X: spikes(X, True),
         mollification_level=eps,
         provenance="lattice",
         singular_distance=(None if eps > 0 or alpha_sing <= 1 else sdist),

@@ -216,7 +216,8 @@ class CutoffFamily:
         the window out of the trailing spatial axes: basic slices, a
         view, when every axis's nodes are one run, else ``np.ix_``.
         """
-        disps = [grid.wrap(grid.axis - zi) for zi in np.ravel(z)]
+        axis = grid.axis
+        disps = [grid.wrap(axis - zi) for zi in np.ravel(z)]
         nodes = [np.flatnonzero(np.abs(d) < 2 * self.radius) for d in disps]
         dist = np.sqrt(sum(m**2 for m in np.ix_(*[d[n] for d, n in zip(disps, nodes)])))
         if all(n.size and n[-1] - n[0] + 1 == n.size for n in nodes):

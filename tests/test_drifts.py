@@ -139,9 +139,45 @@ def test_lattice_divergence_one_profile_call_per_spike(monkeypatch):
     monkeypatch.setattr(norms, "_transition", lambda *a: calls.append(a) or transition(*a))
     div = b.divergence(0.0, X)
     assert len(calls) == 16  # one profile evaluation per spike of the 4 x 4 cell
+    calls.clear()
+    value, joint_div = b.value_and_divergence(0.0, X)
+    assert len(calls) == 16  # b and div b share each spike's profile: 16, not 32
+    assert np.array_equal(joint_div, div)
     monkeypatch.setattr(drifts, "_phi_and_prime", lambda rho: (
         smooth_transition(rho, 1.0, 2.0), smooth_transition_with_deriv(rho, 1.0, 2.0)[1]))
     assert np.array_equal(div, b.divergence(0.0, X))
+    assert np.array_equal(value, b(0.0, X))
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.0])
+@pytest.mark.parametrize("d", [2, 3])
+def test_lattice_joint_call_bit_equal(d, eps):
+    b = lattice_drift(1.0, 1.5, d, seed=7, eps=eps)
+    X = np.random.default_rng(d).uniform(-3, 3, (5, 7, d))
+    # rho = 0 on a spike, 1 and 2 from the spikes along an axis, about 2 from
+    # the origin at (1.2, 1.6), halfway between spikes at 0.5 and at the cell
+    # centre; every point is also more than 2 from some spike, where phi = 0
+    special = np.zeros((6, d))
+    special[1, 0], special[2, 0], special[4, 0] = 1.0, 2.0, 0.5
+    special[3, :2] = [1.2, 1.6]
+    special[5] = 0.5
+    X[0, :6] = special
+    value, div = b.value_and_divergence(0.0, X)
+    assert value.shape == X.shape and div.shape == X.shape[:-1]
+    # with eps = 0 the field is singular on the spikes: nan there on both sides
+    assert np.array_equal(value, b(0.0, X), equal_nan=eps == 0)
+    assert np.array_equal(div, b.divergence(0.0, X), equal_nan=eps == 0)
+
+
+def test_value_and_divergence_falls_back_to_the_two_calls():
+    # a field without a joint kernel answers with its own two functions
+    b = radial_drift(0.5, 3, 0.1)
+    X = np.random.default_rng(8).normal(size=(4, 5, 3))
+    value, div = b.value_and_divergence(0.0, X)
+    assert np.array_equal(value, b(0.0, X)) and np.array_equal(div, b.divergence(0.0, X))
+    no_div = drifts.DriftField(2, lambda t, X: np.zeros_like(X), mollification_level=1.0)
+    with pytest.raises(ValueError, match="divergence"):
+        no_div.value_and_divergence(0.0, np.zeros((3, 2)))
 
 
 def test_lattice_rejects_too_singular():

@@ -10,7 +10,14 @@ import scipy.sparse.linalg as spla
 import scipy.stats
 
 from sdlab import sde
-from sdlab.drifts import DriftField, linear_drift, load_external, radial_drift, zero_drift
+from sdlab.drifts import (
+    DriftField,
+    lattice_drift,
+    linear_drift,
+    load_external,
+    radial_drift,
+    zero_drift,
+)
 from sdlab.grids import GridSpec, SpaceTimeField, write_field
 from sdlab.pde import PDEProblem, build_operator, solve
 from sdlab.sde import (
@@ -331,14 +338,14 @@ def test_markov_radial_across_seeds():
 def test_backward_flow_det_pure_brownian_exact():
     cfg = EnsembleConfig(BROWNIAN, (0.0, [0.0, 0.0]), 0.25, 0.01, 500, 29,
                          store_stride=25)
-    dets = backward_flow_det(simulate(cfg, integrands={"div": BROWNIAN.divergence}))
+    dets = backward_flow_det(simulate(cfg, divergence=True))
     assert np.allclose(dets, 1.0, atol=1e-14)
 
 
 def test_backward_flow_det_is_liouville_on_the_forward_path():
     drift = radial_drift(0.5, 2, 0.1)
     cfg = EnsembleConfig(drift, (0.0, [0.3, 0.0]), 0.1, 0.005, 200, 31, store_stride=1)
-    ens = simulate(cfg, integrands={"div": drift.divergence})
+    ens = simulate(cfg, divergence=True)
     div_int = np.zeros(cfg.paths)
     for k in range(cfg.n_steps):
         div_int += drift.divergence(ens.times[k], ens.states[:, k]) * cfg.dt
@@ -346,24 +353,52 @@ def test_backward_flow_det_is_liouville_on_the_forward_path():
 
 
 def test_jacobian_semigroup_steps_once(monkeypatch):
-    counts = {"normals": 0, "drift": 0}
-    normals, call = sde.step_normals, DriftField.__call__
+    counts = {}
+    normals = sde.step_normals
 
-    def counted_normals(*a):
-        counts["normals"] += 1
-        return normals(*a)
+    def counted(key, fn):
+        def wrapper(*a):
+            counts[key] += 1
+            return fn(*a)
+        return wrapper
 
-    def counted_call(self, t, X):
-        counts["drift"] += 1
-        return call(self, t, X)
-
-    monkeypatch.setattr(sde, "step_normals", counted_normals)
-    monkeypatch.setattr(DriftField, "__call__", counted_call)
+    monkeypatch.setattr(sde, "step_normals", counted("normals", normals))
+    monkeypatch.setattr(DriftField, "__call__", counted("drift", DriftField.__call__))
+    monkeypatch.setattr(DriftField, "divergence", counted("div", DriftField.divergence))
+    lattice = lattice_drift(1.0, 1.5, 2, eps=0.2)
+    lattice.joint_fn = counted("joint", lattice.joint_fn)
     g = GridSpec(2, 4.0, 32, 0.0, 0.25, 4)
-    jacobian_semigroup(radial_drift(0.5, 2, 0.1), lambda X: np.exp(-np.sum(X**2, axis=1)), g,
-                       0.0, 0.1, dt=0.01, paths=400, seed=32)
-    # n_steps = 10: no step is drawn or evaluated a second time
-    assert counts == {"normals": 10, "drift": 10}
+    # n_steps = 10: no step is drawn or evaluated a second time; the radial
+    # field falls back to its two functions, the lattice takes both from one pass
+    for drift, expected in [(radial_drift(0.5, 2, 0.1), {"drift": 10, "div": 10, "joint": 0}),
+                            (lattice, {"drift": 0, "div": 0, "joint": 10})]:
+        counts.update(normals=0, drift=0, div=0, joint=0)
+        jacobian_semigroup(drift, lambda X: np.exp(-np.sum(X**2, axis=1)), g,
+                           0.0, 0.1, dt=0.01, paths=400, seed=32)
+        assert counts == {"normals": 10, **expected}
+
+
+def test_simulate_reserves_the_div_integral():
+    cfg = EnsembleConfig(BROWNIAN, (0.0, [0.0, 0.0]), 0.1, 0.01, 200, 35)
+    with pytest.raises(ValueError, match="divergence=True"):
+        simulate(cfg, integrands={"div": BROWNIAN.divergence})
+
+
+# sha256 of jacobian_semigroup's report for lattice_drift(1.0, 1.5, 2, eps=0.2)
+# on 400 paths and 10 steps: (lhs, se, rhs, constant, det_mean, det_se) as
+# float64.  A change to this digest is a change to the lattice transport's bits.
+LATTICE_JACOBIAN_GOLDEN = "130f19c2cd686a361ba9e453fcf4cf58bed3b501eaaafbd4b14544e18ae2289f"
+
+
+def test_lattice_jacobian_golden_digest():
+    rep = jacobian_semigroup(lattice_drift(1.0, 1.5, 2, eps=0.2),
+                             lambda X: np.exp(-np.sum(X**2, axis=1)),
+                             GridSpec(2, 4.0, 32, 0.0, 0.25, 4), 0.0, 0.1,
+                             dt=0.01, paths=400, seed=3)
+    assert not rep.meta["divergence_free"]
+    vals = np.array([rep.lhs, rep.se, rep.rhs, rep.constant,
+                     rep.meta["det_mean"], rep.meta["det_se"]])
+    assert hashlib.sha256(vals.tobytes()).hexdigest() == LATTICE_JACOBIAN_GOLDEN
 
 
 def test_jacobian_determinant_needs_the_divergence():
