@@ -142,11 +142,10 @@ def test_lattice_divergence_one_profile_call_per_spike(monkeypatch):
     calls.clear()
     value, joint_div = b.value_and_divergence(0.0, X)
     assert len(calls) == 16  # b and div b share each spike's profile: 16, not 32
-    assert np.array_equal(joint_div, div)
+    assert np.array_equal(joint_div, div) and np.array_equal(value, b(0.0, X))
     monkeypatch.setattr(drifts, "_phi_and_prime", lambda rho: (
         smooth_transition(rho, 1.0, 2.0), smooth_transition_with_deriv(rho, 1.0, 2.0)[1]))
     assert np.array_equal(div, b.divergence(0.0, X))
-    assert np.array_equal(value, b(0.0, X))
 
 
 @pytest.mark.parametrize("eps", [0.2, 0.0])
@@ -167,17 +166,6 @@ def test_lattice_joint_call_bit_equal(d, eps):
     # with eps = 0 the field is singular on the spikes: nan there on both sides
     assert np.array_equal(value, b(0.0, X), equal_nan=eps == 0)
     assert np.array_equal(div, b.divergence(0.0, X), equal_nan=eps == 0)
-
-
-def test_value_and_divergence_falls_back_to_the_two_calls():
-    # a field without a joint kernel answers with its own two functions
-    b = radial_drift(0.5, 3, 0.1)
-    X = np.random.default_rng(8).normal(size=(4, 5, 3))
-    value, div = b.value_and_divergence(0.0, X)
-    assert np.array_equal(value, b(0.0, X)) and np.array_equal(div, b.divergence(0.0, X))
-    no_div = drifts.DriftField(2, lambda t, X: np.zeros_like(X), mollification_level=1.0)
-    with pytest.raises(ValueError, match="divergence"):
-        no_div.value_and_divergence(0.0, np.zeros((3, 2)))
 
 
 def test_lattice_rejects_too_singular():
