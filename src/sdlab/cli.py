@@ -213,8 +213,6 @@ def _ensemble(drift, seed, diffusion, *, start: list[float], s: float, horizon: 
               paths: int, store_stride: int = 1) -> sde_mod.EnsembleConfig:
     if len(start) != drift.dim:
         raise ValueError(f"start has {len(start)} coordinates, the grid has dim {drift.dim}")
-    if store_stride < 1:
-        raise ValueError("store_stride must be >= 1")
     config = sde_mod.EnsembleConfig(drift, (s, start), horizon, dt, paths, seed,
                                     store_stride=store_stride, diffusion=diffusion)
     _whole_steps("horizon - s", horizon - s, dt)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sdlab.grids import SpaceTimeField
-from sdlab.norms import _lp_space, _lq_time, conjugate_exponents, mixed_norm
+from sdlab.norms import _lp_space, _lq_time, conjugate_exponents, mixed_norm, vnorm
 
 
 def t_seq(n: int) -> float:
@@ -189,11 +189,7 @@ def threshold_kappa(u, exponents) -> dict:
             fit = cand
     bound = np.nan
     if np.isfinite(fit.get("eps", np.nan)) and fit["eps"] > 0 and fit["C0"] > 0:
-        from sdlab.norms import vnorm as _vnorm
-
-        u_plus = _vnorm(
-            SpaceTimeField(field.grid, np.maximum(field.values, 0.0), 1)
-        )
+        u_plus = vnorm(SpaceTimeField(field.grid, np.maximum(field.values, 0.0), 1))
         # theoretical constants are >= 1 by construction; a fitted value
         # below 1 reflects a faster-than-required empirical recursion and
         # would spuriously shrink the sufficient bound, so clamp

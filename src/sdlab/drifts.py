@@ -8,7 +8,7 @@ is pure and reentrant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -67,9 +67,12 @@ class DriftField:
     def mollified(self, eps: float) -> "DriftField":
         if eps <= 0:
             raise ValueError("mollification level must be positive")
-        if self.mollifier is None:
-            raise ValueError(f"{self.provenance} drift has no mollifier")
-        return self.mollifier(eps)
+        if self.mollifier is not None:
+            return self.mollifier(eps)
+        # a regular field without a family is its own mollification
+        if self.mollification_level > 0:
+            return self
+        raise ValueError(f"{self.provenance} drift has no mollifier")
 
     def sample_speed(self, grid: GridSpec) -> SpaceTimeField:
         """|b| sampled on the grid as a scalar space-time field.
@@ -251,7 +254,7 @@ def lattice_drift(
 
 
 def zero_drift(d: int) -> DriftField:
-    z = DriftField(
+    return DriftField(
         dim=d,
         eval_fn=lambda t, X: np.zeros_like(X),
         div_fn=lambda t, X: np.zeros(X.shape[:-1]),
@@ -259,13 +262,11 @@ def zero_drift(d: int) -> DriftField:
         provenance="custom",
         metadata={"name": "zero"},
     )
-    z.mollifier = lambda e: z
-    return z
 
 
 def constant_drift(v) -> DriftField:
     v = np.asarray(v, dtype=np.float64)
-    b = DriftField(
+    return DriftField(
         dim=len(v),
         eval_fn=lambda t, X: np.broadcast_to(v, X.shape).copy(),
         div_fn=lambda t, X: np.zeros(X.shape[:-1]),
@@ -273,13 +274,11 @@ def constant_drift(v) -> DriftField:
         provenance="custom",
         metadata={"name": "constant", "v": v.tolist()},
     )
-    b.mollifier = lambda e: b
-    return b
 
 
 def linear_drift(rate: float, d: int) -> DriftField:
     """Ornstein-Uhlenbeck style drift b(x) = -rate * x; div = -rate*d."""
-    b = DriftField(
+    return DriftField(
         dim=d,
         eval_fn=lambda t, X: -rate * X,
         div_fn=lambda t, X: np.full(X.shape[:-1], -rate * d),
@@ -287,8 +286,6 @@ def linear_drift(rate: float, d: int) -> DriftField:
         provenance="custom",
         metadata={"name": "linear", "rate": rate},
     )
-    b.mollifier = lambda e: b
-    return b
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +343,7 @@ def load_external(path) -> DriftField:
     def dv(t, X):
         return interp(t, X, div_field.values[:, None])[0]
 
-    b = DriftField(
+    return DriftField(
         dim=g.spatial_dim,
         eval_fn=ev,
         div_fn=dv,
@@ -359,8 +356,6 @@ def load_external(path) -> DriftField:
         },
         time_dependent=bool(np.any(values != values[:1])),
     )
-    b.mollifier = lambda e: b
-    return b
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +381,6 @@ class AdmissibilityReport:
         return self.exponents_ok and self.drift_stable and self.div_stable
 
     def as_dict(self) -> dict:
-        from dataclasses import asdict
-
         rec = asdict(self)
         rec["admissible"] = self.admissible
         return rec
@@ -414,14 +407,7 @@ def check_admissibility(
     sup over translates at two centers, the origin and (1/2, ..., 1/2),
     both at mid-time.
     """
-    fine = GridSpec(
-        grid.spatial_dim,
-        grid.extent,
-        grid.points_per_axis * 2,
-        grid.time_start,
-        grid.time_end,
-        grid.time_steps,
-    )
+    fine = replace(grid, points_per_axis=2 * grid.points_per_axis)
     mid = 0.5 * (grid.time_start + grid.time_end)
     centers = [(mid, np.zeros(grid.spatial_dim)), (mid, np.full(grid.spatial_dim, 0.5))]
     fam = CutoffFamily(radius=1.0, centers=centers)

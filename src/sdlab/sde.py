@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field, replace
@@ -109,9 +110,13 @@ class EnsembleConfig:
             raise ValueError("dt must be positive")
         if self.paths < 100:
             raise ValueError("at least 100 paths required")
+        if self.store_stride < 1:
+            raise ValueError("store_stride must be >= 1")
         s, _ = self.start
         if self.horizon <= s:
             raise ValueError("horizon must exceed the start time")
+        if self.n_steps < 1:
+            raise ValueError(f"horizon - s = {self.horizon - s:g} rounds to no step of dt = {self.dt:g}")
         if not self.drift.mollification_level > 0:
             raise ValueError("simulation requires a mollified drift")
 
@@ -126,15 +131,16 @@ class TrajectoryEnsemble:
     config: EnsembleConfig
     times: np.ndarray  # stored times, stride subset of the step grid
     states: np.ndarray  # (paths, len(times), dim)
-    integrals: dict = field(default_factory=dict)
+    integrals: dict = field(default_factory=dict)  # name -> (paths, len(times))
 
     @property
     def dim(self) -> int:
         return self.states.shape[2]
 
     def state_at(self, t: float) -> np.ndarray:
+        """The states at stored time t; any other time raises."""
         k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > 0.5 * self.config.dt * self.config.store_stride:
+        if abs(self.times[k] - t) > 1e-9 * self.config.dt:
             raise ValueError(f"time {t} not stored (nearest {self.times[k]})")
         return self.states[:, k]
 
@@ -161,15 +167,15 @@ def _increment(config: EnsembleConfig, k: int) -> np.ndarray:
 
 
 def simulate(config: EnsembleConfig, integrands: dict | None = None,
-             integral_marks=None, increment=None, divergence: bool = False) -> TrajectoryEnsemble:
+             increment=None, divergence: bool = False) -> TrajectoryEnsemble:
     """March the ensemble; optionally accumulate path-time integrals.
 
-    ``integrands`` maps names to callables f(t, X) -> (paths,) whose
-    left-endpoint Riemann sums are returned per path.  With
-    ``integral_marks`` the running sums are also snapshotted at those
-    times (used by the short-horizon scaling fits); a mark at or before
-    the start time snapshots zeros.  ``increment(k)`` is the noise added
-    at step k, by default diffusion * sqrt(dt) * step_normals(seed, k).
+    States are stored at the start, at every ``store_stride``-th step and
+    at the end.  ``integrands`` maps names to callables f(t, X) -> (paths,)
+    whose left-endpoint Riemann sums are stored at the same steps:
+    ``integrals[name]`` is (paths, len(times)), its first column zeros and
+    its last the sum over the whole horizon.  ``increment(k)`` is the noise
+    added at step k, by default diffusion * sqrt(dt) * step_normals(seed, k).
     With ``divergence`` each step takes (b, div b) from one
     ``drift.value_and_divergence`` call and the ensemble carries the
     integral of div b as ``"div"``, a name no integrand may take.
@@ -189,18 +195,10 @@ def simulate(config: EnsembleConfig, integrands: dict | None = None,
     stored_times = [s]
     names = [*integrands, "div"] if divergence else list(integrands)
     sums = {name: np.zeros(config.paths) for name in names}
-    marks = list(integral_marks) if integral_marks is not None else []
-    snaps = {name: [] for name in sums}
+    stored_sums = {name: [np.zeros(config.paths)] for name in names}
 
-    next_mark = 0
-    for k in range(K + 1):
+    for k in range(K):
         t = s + k * dt
-        while next_mark < len(marks) and marks[next_mark] <= t + 1e-12:
-            for name in snaps:
-                snaps[name].append(sums[name].copy())
-            next_mark += 1
-        if k == K:
-            break
         for name, f in integrands.items():
             sums[name] += f(t, x) * dt
         # in place: the drift's own array is never written to
@@ -216,17 +214,16 @@ def simulate(config: EnsembleConfig, integrands: dict | None = None,
         if (k + 1) % stride == 0 or k == K - 1:
             stored.append(x.copy())
             stored_times.append(s + (k + 1) * dt)
+            for name in sums:
+                stored_sums[name].append(sums[name].copy())
 
-    ens = TrajectoryEnsemble(
+    # transposed, so that each stored column is contiguous
+    return TrajectoryEnsemble(
         config=config,
         times=np.array(stored_times),
         states=np.stack(stored, axis=1),
+        integrals={name: np.array(cols).T for name, cols in stored_sums.items()},
     )
-    for name in sums:
-        ens.integrals[name] = sums[name]
-        if marks:
-            ens.integrals[name + "@marks"] = np.stack(snaps[name], axis=0)
-    return ens
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +292,7 @@ class EstimateReport:
 # short-horizon occupation scaling
 
 
-def krylov_verify(drift: DriftField, starts, f, deltas, s: float = 0.0,
+def krylov_verify(drift: DriftField, starts, f, deltas,
                   dt: float = 1e-3, paths: int = 2000, seed: int = 0) -> EstimateReport:
     """Scaling of E int_0^delta f(t, X_t) dt over a panel of starts.
 
@@ -304,11 +301,13 @@ def krylov_verify(drift: DriftField, starts, f, deltas, s: float = 0.0,
     sup_x E / delta^theta.
     """
     deltas = sorted(deltas)
+    steps = [int(round(d_ / dt)) for d_ in deltas]
+    # every delta's step is a multiple of the stride, so it is stored
+    stride = max(1, math.gcd(*steps))
     table = np.zeros((len(starts), len(deltas)))
     ses = np.zeros_like(table)
     for i, x in enumerate(starts):
-        cfg = EnsembleConfig(drift, (s, x), s + deltas[-1], dt, paths, seed + i,
-                             store_stride=max(1, int(round(deltas[-1] / dt))))
+        cfg = EnsembleConfig(drift, (0.0, x), deltas[-1], dt, paths, seed + i, store_stride=stride)
 
         def fpos(t, X):
             vals = f(t, X)
@@ -316,10 +315,9 @@ def krylov_verify(drift: DriftField, starts, f, deltas, s: float = 0.0,
                 raise ValueError("krylov_verify requires f >= 0")
             return vals
 
-        ens = simulate(cfg, integrands={"f": fpos}, integral_marks=[s + d_ for d_ in deltas])
-        snaps = ens.integrals["f@marks"]
-        for j in range(len(deltas)):
-            table[i, j], ses[i, j] = batch_stats(snaps[j])
+        sums = simulate(cfg, integrands={"f": fpos}).integrals["f"]
+        for j, steps_j in enumerate(steps):
+            table[i, j], ses[i, j] = batch_stats(sums[:, steps_j // stride])
 
     thetas = []
     for i in range(len(starts)):
@@ -342,14 +340,14 @@ def krylov_verify(drift: DriftField, starts, f, deltas, s: float = 0.0,
     )
 
 
-def khasminskii_verify(drift: DriftField, start, f, lam: float, s: float = 0.0,
+def khasminskii_verify(drift: DriftField, start, f, lam: float,
                        dt: float = 1e-3, paths: int = 4000, seed: int = 0) -> EstimateReport:
-    """Exponential moment E exp(lam * int_s^{s+1} |f(t,X_t)| dt)."""
-    # only the integrals are read: store the end state alone
-    cfg = EnsembleConfig(drift, (s, start), s + 1.0, dt, paths, seed,
+    """Exponential moment E exp(lam * int_0^1 |f(t,X_t)| dt)."""
+    # only the final integral is read: store the end state alone
+    cfg = EnsembleConfig(drift, (0.0, start), 1.0, dt, paths, seed,
                          store_stride=max(1, int(round(1.0 / dt))))
     ens = simulate(cfg, integrands={"absf": lambda t, X: np.abs(f(t, X))})
-    expo = lam * ens.integrals["absf"]
+    expo = lam * ens.integrals["absf"][:, -1]
     if expo.max() > 700:
         q = float(np.quantile(expo, 0.999))
         return EstimateReport("khasminskii", np.inf, np.inf, np.nan, np.nan, False,
@@ -376,7 +374,7 @@ def backward_flow_det(ens: TrajectoryEnsemble) -> np.ndarray:
     """
     if "div" not in ens.integrals:
         raise ValueError("ensemble has no 'div' integral; simulate it with divergence=True")
-    return np.exp(-ens.integrals["div"])
+    return np.exp(-ens.integrals["div"][:, -1])
 
 
 def jacobian_semigroup(drift: DriftField, f, grid, t0: float, t1: float,
@@ -406,7 +404,7 @@ def jacobian_semigroup(drift: DriftField, f, grid, t0: float, t1: float,
     c_emp = l1_out / l1_in if l1_in > 0 else np.nan
 
     # det J = 1 needs div b = 0 along every path, not only at its start
-    divergence_free = float(np.abs(ens.integrals["div"]).max()) <= 1e-10 * (t1 - t0)
+    divergence_free = float(np.abs(ens.integrals["div"][:, -1]).max()) <= 1e-10 * (t1 - t0)
     if divergence_free:
         passed = c_emp <= 1.0 + 3 * se / max(l1_in, 1e-300)
     else:
@@ -438,7 +436,7 @@ def feynman_kac_check(solution, drift: DriftField, f, panel, T: float,
         cfg = EnsembleConfig(drift, (s, np.asarray(x, float)), T, dt_, paths, seed_,
                              store_stride=max(1, int(round((T - s) / dt_))))
         ens = simulate(cfg, integrands={"f": f})
-        return batch_stats(ens.integrals["f"])
+        return batch_stats(ens.integrals["f"][:, -1])
 
     s0, x0 = panel[0]
     v1, _ = mc_value(s0, x0, dt, seed + 900)
@@ -494,12 +492,13 @@ def martingale_defect(drift: DriftField, start, probe: ProbeFunction, t0: float,
         K = cfg.n_steps
         k0 = next((k for k in range(K) if abs(s + k * dt_ - t0) < dt_ / 2), K)
         t = s + k0 * dt_
-        # stride k0 (K if k0 = 0) stores steps 0, k0 and K instead of every step
-        ens = simulate(replace(cfg, store_stride=k0 or K), integrands={"Lf": lf}, integral_marks=[t])
+        # stride k0 (K if k0 = 0) stores every multiple of k0 and the end, so
+        # column min(k0, 1) is step k0
+        ens = simulate(replace(cfg, store_stride=k0 or K), integrands={"Lf": lf})
         x0, x_t0, x_t1 = (np.ascontiguousarray(ens.states[:, i]) for i in (0, min(k0, 1), -1))
         f0 = probe.f(x0)
-        m_t0 = probe.f(x_t0) - f0 - ens.integrals["Lf@marks"][0]
-        m_t1 = probe.f(x_t1) - f0 - ens.integrals["Lf"]
+        m_t0 = probe.f(x_t0) - f0 - ens.integrals["Lf"][:, min(k0, 1)]
+        m_t1 = probe.f(x_t1) - f0 - ens.integrals["Lf"][:, -1]
         g_val = G(t, x_t0) if G is not None else np.ones(cfg.paths)
         return batch_stats((m_t1 - m_t0) * g_val)
 

@@ -44,6 +44,26 @@ def _artifact_hashes(outdir):
     return {name: art["sha256"] for name, art in manifest["artifacts"].items()}
 
 
+# sha256 of each built-in scenario's artifacts (numpy 2.4.6, scipy 1.17.1);
+# a change here is a change to the scenario's results
+SCENARIO_DIGESTS = {
+    "brownian-baseline": {
+        "solution": "11dfce2e92194d028dad7d9e51549803db39e11f7461a20240eabc9fd959ac11",
+        "ensemble": "23cdcaf723731cc65d6506c6a201e5dc14998cf625b258cc3888b5ede66ef858",
+        "reports": "fec69ab7d92ceb446a51d6e796c4915efa0a92988018c6b5412209169ccaea2e",
+    },
+    "radial-c0.5-sweep": {
+        "solution": "f3c5e16be94fd3ced999a4826516293a067d6744f00a446339f13a916e234c85",
+        "ensemble": "a29f530c09c30ca46134efad86d2ed3c2c23c2c1b76cbabe98b972917a67594f",
+        "reports": "6a60459826d7b31b8959f639c70f0a877ce4fc3e4f2203390f9a6e7257f525b0",
+    },
+    "unit-diffusion-control": {
+        "ensemble": "a0c4722862cb5cdffc91c558b71cfd9c839aaf6498ec886fe58baf26457d6a77",
+        "reports": "5b2fe33d887b04341474594be41d6e037a3dc0021da4033fe868d73824bee7a7",
+    },
+}
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_validate_config_accepts_scenario_dump(runner, tmp_path, name):
     path = tmp_path / "good.yaml"
@@ -56,6 +76,7 @@ def test_validate_config_accepts_scenario_dump(runner, tmp_path, name):
              for how, out in [(["--config", str(path)], "c"), (["--scenario", name], "s")]]
     assert codes[0] == codes[1] == (1 if name == "unit-diffusion-control" else 0)
     assert _artifact_hashes(tmp_path / "c") == _artifact_hashes(tmp_path / "s")
+    assert _artifact_hashes(tmp_path / "s") == SCENARIO_DIGESTS[name]
 
 
 def test_validate_config_rejects_unknown_key(runner, tmp_path):

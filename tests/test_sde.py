@@ -503,13 +503,39 @@ def test_refinement_gap_matches_reference_loop(drift, start, horizon, dt):
     assert refinement_gap(cfg) == _refinement_gap_reference(cfg)
 
 
-def test_simulate_mark_at_start_snapshots_zero():
-    cfg = EnsembleConfig(OU1, (0.0, [1.0]), 0.1, 0.01, 200, 32)
-    ens = simulate(cfg, integrands={"one": lambda t, X: np.ones(len(X))},
-                   integral_marks=[0.0, 0.05, 0.1])
-    snaps = ens.integrals["one@marks"]
-    assert np.array_equal(snaps[0], np.zeros(200))
-    np.testing.assert_allclose(snaps[1:], [[0.05] * 200, [0.1] * 200], rtol=1e-12)
+def test_simulate_stores_integrals_with_states():
+    # 10 steps at stride 4: the start, steps 4 and 8, and the end
+    cfg = EnsembleConfig(OU1, (0.0, [1.0]), 0.1, 0.01, 200, 32, store_stride=4)
+    ens = simulate(cfg, integrands={"one": lambda t, X: np.ones(len(X))})
+    np.testing.assert_allclose(ens.times, [0.0, 0.04, 0.08, 0.1], rtol=1e-12)
+    sums = ens.integrals["one"]
+    assert sums.shape == (200, len(ens.times))
+    assert np.array_equal(sums[:, 0], np.zeros(200))
+    np.testing.assert_allclose(sums[:, 1:], [[0.04, 0.08, 0.1]] * 200, rtol=1e-12)
+
+
+def test_state_at_accepts_only_stored_times():
+    cfg = EnsembleConfig(OU1, (0.0, [1.0]), 0.5, 0.01, 100, 34, store_stride=10)
+    ens = simulate(cfg)
+    assert np.array_equal(ens.state_at(0.1), ens.states[:, 1])
+    assert np.array_equal(ens.state_at(0.5), ens.final_states)
+    with pytest.raises(ValueError, match="not stored"):
+        ens.state_at(0.14)
+    # one stride over the whole horizon stores the start and the end only
+    ens = simulate(EnsembleConfig(OU1, (0.0, [1.0]), 1.0, 0.01, 100, 34, store_stride=100))
+    with pytest.raises(ValueError, match="not stored"):
+        ens.state_at(0.3)
+
+
+def test_ensemble_config_rejects_stride_below_one():
+    with pytest.raises(ValueError, match="store_stride"):
+        EnsembleConfig(OU1, (0.0, [1.0]), 0.1, 0.01, 100, 35, store_stride=0)
+
+
+def test_ensemble_config_rejects_a_horizon_of_no_step():
+    # (horizon - s) / dt = 0.4 rounds to zero steps
+    with pytest.raises(ValueError, match="no step"):
+        EnsembleConfig(OU1, (0.0, [1.0]), 0.004, 0.01, 100, 36)
 
 
 # ---------------------------------------------------------------------------
