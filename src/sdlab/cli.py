@@ -22,7 +22,6 @@ from pathlib import Path
 
 import click
 import numpy as np
-import scipy.stats
 import yaml
 
 from sdlab import drifts as drift_mod
@@ -314,11 +313,8 @@ def _density_ks(ens) -> dict:
     crit = 1.628 / np.sqrt(c.paths)
     out = []
     for ax in range(ens.dim):
-        ks = scipy.stats.kstest(
-            ens.final_states[:, ax],
-            lambda x: scipy.stats.norm.cdf(x, c.start[1][ax], np.sqrt(2 * span)),
-        ).statistic
-        out.append({"axis": ax, "ks": float(ks), "critical_1pct": crit, "pass": ks < crit})
+        ks = sde_mod.normal_ks(ens.final_states[:, ax], c.start[1][ax], np.sqrt(2 * span))
+        out.append({"axis": ax, "ks": ks, "critical_1pct": crit, "pass": ks < crit})
     return {"name": "density-ks", "passed": all(o["pass"] for o in out), "per_axis": out}
 
 

@@ -2,8 +2,8 @@
 
 Fields are evaluable callables b(t, x) with optional analytic
 divergence; mollified variants are produced in closed form for the
-analytic entries and by grid convolution for ingested ones.  Evaluation
-is pure and reentrant.
+analytic entries, and an ingested field, resolved on its grid, is its
+own mollification.  Evaluation is pure and reentrant.
 """
 
 from __future__ import annotations

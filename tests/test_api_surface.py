@@ -22,7 +22,6 @@ CALLERS = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "perfbench").glob("*.p
 ALLOWED = {
     "sde.refinement_gap": "item 1, the two-level bias estimate",
     "sde.density_estimate": "item 2, the density-duality verifier",
-    "sde.DensityEstimate.marginal_ks": "item 2, the density-ks decision",
     "grids.SpaceTimeField.from_function": "item 2, the exponent check's sampled densities",
     "sde.weak_convergence_scan": "item 3, the weak-convergence verifier",
     "pde.energy_monitor": "item 3, the degiorgi verifier",

@@ -1,6 +1,9 @@
 import copy
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+import sdlab
 from sdlab import pde as pde_mod
 from sdlab.cli import (
     SCENARIOS,
@@ -377,3 +381,13 @@ def test_reused_sweep_solution_is_the_standalone_solve(tmp_path, drift):
     stage = manifest["stages"][0]
     assert (stage["stage"], stage["sup_norm"], stage["residual"]) \
         == ("pde", alone.sup_norm, alone.residual)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of a fresh interpreter's start-up cost; the CLI does without it
+    src = str(Path(sdlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, sdlab.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -34,6 +34,7 @@ from sdlab.sde import (
     load_ensemble_arrays,
     markov_check,
     martingale_defect,
+    normal_ks,
     refinement_gap,
     save_ensemble,
     simulate,
@@ -269,9 +270,35 @@ def test_density_gaussian_ks():
     assert np.all(de.histogram >= 0)
     crit = 1.628 / np.sqrt(cfg.paths)
     for ax in range(2):
-        ks = de.marginal_ks(ens.final_states[:, ax],
-                            lambda x: scipy.stats.norm.cdf(x, 0.0, 1.0))
-        assert ks < crit
+        assert normal_ks(ens.final_states[:, ax], 0.0, 1.0) < crit
+
+
+def test_density_cells_centred_on_nodes():
+    g = GridSpec(2, 8.0, 32, 0.0, 0.5, 2)
+    h = g.h
+    rng = np.random.default_rng(0)
+    idx = rng.integers(0, g.points_per_axis, size=(10**4, 2))
+    # a sample a quarter cell below node i belongs to cell i
+    X = g.axis[idx] - 0.25 * h
+    X[:5] = 5.0  # outside every cell
+    cfg = EnsembleConfig(BROWNIAN, (0.0, [0.0, 0.0]), 0.5, 0.5, len(X), 0)
+    ens = sde.TrajectoryEnsemble(cfg, np.array([0.5]), X[:, None, :])
+    de = density_estimate(ens, 0.5, g)
+    counts = np.zeros((g.points_per_axis,) * 2)
+    np.add.at(counts, tuple(idx[5:].T), 1.0)
+    np.testing.assert_allclose(de.histogram * len(X) * h**2, counts, rtol=1e-12)
+    assert de.truncated_mass == pytest.approx(5 / len(X), rel=1e-12)
+    assert de.histogram.sum() * h**2 == pytest.approx(1.0 - de.truncated_mass, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [100, 101, 1000, 10**5])
+@pytest.mark.parametrize("mean, sd", [(0.0, 1.0), (0.3, 0.7), (-2.0, 3.5), (1e-3, 1.0)])
+def test_normal_ks_matches_scipy(n, mean, sd):
+    t = mean + sd * np.random.default_rng(n).standard_t(5, size=n)
+    # shifted up by sd, the sample's statistic comes from the F - (i-1)/n side
+    for x in (t, t + sd):
+        ref = scipy.stats.kstest(x, lambda y: scipy.stats.norm.cdf(y, mean, sd)).statistic
+        assert normal_ks(x, mean, sd) == ref
 
 
 def test_density_ou_oracle():
