@@ -178,9 +178,14 @@ def lattice_drift(
 ) -> DriftField:
     """Periodic field of radial spikes gamma_z (x-z)/|x-z|^alpha phi(|x-z|).
 
-    Spike weights gamma_z are i.i.d. uniform on (0, gamma_max), seeded;
-    one weight per integer lattice point of the periodic cell
-    [-period/2, period/2)^d.
+    With eps > 0 each spike is mollified in closed form:
+    gamma_z (x-z) (|x-z|^2 + eps^2)^(-alpha/2) phi(|x-z|).  phi is 1 on
+    [0, 1] and 0 from 2 on.  Spike weights gamma_z are i.i.d. uniform on
+    (0, gamma_max), seeded; one weight per integer lattice point of the
+    periodic cell [-period/2, period/2)^d, displacements taken minimum
+    image.  With eps = 0 and alpha > 0 a spike's own point evaluates
+    0 * inf, so grid sampling falls back to the h-mollified field within
+    h/2 of a spike.
     """
     if alpha_sing >= 3:
         raise ValueError("spike exponent must be < 3")
@@ -190,11 +195,12 @@ def lattice_drift(
         # spikes reach radius 2 and the minimum-image wrap keeps one image each
         raise ValueError(f"period must be >= 4 (twice the spike radius), got {period}")
     rng = np.random.default_rng(seed)
-    zs = np.stack(
-        [m.ravel() for m in np.meshgrid(*([np.arange(period) - period // 2] * d), indexing="ij")],
-        axis=-1,
-    ).astype(np.float64)
-    gammas = rng.uniform(0.0, gamma_max, size=len(zs))
+    # each spike's per-axis index into arange(period); its coordinates are index - period // 2
+    ks = np.stack(
+        [m.ravel() for m in np.meshgrid(*([np.arange(period)] * d), indexing="ij")], axis=-1
+    )
+    coords = (np.arange(period) - period // 2).astype(np.float64)
+    gammas = rng.uniform(0.0, gamma_max, size=len(ks))
     e2 = eps * eps
     a = alpha_sing
     Lp = float(period)
@@ -209,12 +215,17 @@ def lattice_drift(
         # operation runs over the points.  Without div b the profile's
         # derivative is never taken; div b alone is read off the joint pass.
         Xt = np.ascontiguousarray(np.moveaxis(X, -1, 0))
-        lead = (slice(None),) + (None,) * (X.ndim - 1)
+        # a spike's displacement on axis i depends only on its coordinate there,
+        # one of `period` values: d * period wrapped displacements and squares
+        # serve all period^d spikes
+        disps = [[wrap(x - c) for c in coords] for x in Xt]
+        squares = [[v * v for v in row] for row in disps]
         b = np.zeros(Xt.shape)
         div = np.zeros(X.shape[:-1]) if with_div else None
-        for gamma, z in zip(gammas, zs):
-            disp = wrap(Xt - z[lead])
-            rho2 = sum(c * c for c in disp)
+        for gamma, k in zip(gammas, ks):
+            rho2 = squares[0][k[0]]
+            for i in range(1, d):
+                rho2 = rho2 + squares[i][k[i]]
             u = rho2 + e2
             rho = np.sqrt(rho2)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -224,7 +235,9 @@ def lattice_drift(
                     div += gamma * (g * ((d - a * rho2 / u) * phi + rho * dphi))
                 else:
                     phi = _phi(rho)
-                b += gamma * disp * (g * phi)
+                gp = g * phi
+                for i in range(d):
+                    b[i] += gamma * disps[i][k[i]] * gp
         return np.ascontiguousarray(np.moveaxis(b, 0, -1)), div
 
     def sdist(X):
@@ -238,7 +251,7 @@ def lattice_drift(
         joint_fn=lambda t, X: spikes(X, True),
         mollification_level=eps,
         provenance="lattice",
-        singular_distance=(None if eps > 0 or alpha_sing <= 1 else sdist),
+        singular_distance=(None if eps > 0 else sdist),
         metadata={
             "gamma_max": gamma_max,
             "alpha_sing": alpha_sing,

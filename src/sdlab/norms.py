@@ -19,15 +19,23 @@ from sdlab.grids import GridSpec, SpaceTimeField
 
 
 def _transition(s, lo, hi):
-    """(u, phi) with u = (hi - s)/(hi - lo) clipped to [0, 1] and phi the profile.
+    """(phi, band, u, phi_band): the profile, and u = (hi - s)/(hi - lo) on its band.
 
-    phi = e^{-1/u} / (e^{-1/u} + e^{-1/(1-u)}) = 1 / (1 + e^{1/u - 1/(1-u)}):
-    one exp per point, and the clipped ends give exactly 1 and 0.
+    With u clipped to [0, 1], phi = e^{-1/u} / (e^{-1/u} + e^{-1/(1-u)})
+    = 1 / (1 + e^{1/u - 1/(1-u)}).  Off the band 0 < u < 1, phi is u
+    itself: exactly 1 for s <= lo and 0 for s >= hi.  So the exp runs on
+    the band only; at the clipped ends its argument is +-inf, and near
+    them it overflows or underflows, where np.exp is up to ten times
+    slower than in range.
     """
     u = np.clip((hi - np.asarray(s, dtype=np.float64)) / (hi - lo), 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        phi = 1.0 / (1.0 + np.exp(1.0 / u - 1.0 / (1.0 - u)))
-    return u, phi
+    phi = np.asarray(u, order="C")  # C order, also for a 0-d or Fortran-ordered s
+    flat = phi.reshape(-1)  # a view, so flat indices write phi; they gather faster than a mask
+    band = ((flat > 0.0) & (flat < 1.0)).nonzero()[0]
+    u = flat[band]
+    with np.errstate(over="ignore"):
+        flat[band] = phi_band = 1.0 / (1.0 + np.exp(1.0 / u - 1.0 / (1.0 - u)))
+    return phi, band, u, phi_band
 
 
 def smooth_transition(s, lo, hi):
@@ -36,7 +44,7 @@ def smooth_transition(s, lo, hi):
     Built from the standard bump e^{-1/x} via the partition-of-unity
     trick; monotone on [lo, hi].
     """
-    return _transition(s, lo, hi)[1]
+    return _transition(s, lo, hi)[0]
 
 
 def smooth_transition_with_deriv(s, lo, hi):
@@ -45,13 +53,15 @@ def smooth_transition_with_deriv(s, lo, hi):
     With w = 1/u - 1/(1-u), phi = 1/(1 + e^w) and
     dphi/ds = phi (1 - phi) (1/u^2 + 1/(1-u)^2) / (lo - hi).
     Where phi (1 - phi) is 0 in floating point the derivative is 0 too,
-    which also covers the clipped ends.
+    and so it is off the band, where phi is flat.
     """
-    u, phi = _transition(s, lo, hi)
-    slope = phi * (1.0 - phi)
+    phi, band, u, phi_band = _transition(s, lo, hi)
+    slope = phi_band * (1.0 - phi_band)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = slope * (1.0 / (u * u) + 1.0 / ((1.0 - u) * (1.0 - u))) / (lo - hi)
-    return phi, np.where(slope > 0.0, out, 0.0)
+    dphi = np.zeros(phi.shape)
+    dphi.reshape(-1)[band] = np.where(slope > 0.0, out, 0.0)
+    return phi, dphi
 
 
 # ---------------------------------------------------------------------------

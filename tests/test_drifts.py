@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -142,7 +144,9 @@ def test_lattice_divergence_one_profile_call_per_spike(monkeypatch):
     calls.clear()
     value, joint_div = b.value_and_divergence(0.0, X)
     assert len(calls) == 16  # b and div b share each spike's profile: 16, not 32
-    assert np.array_equal(joint_div, div) and np.array_equal(value, b(0.0, X))
+    calls.clear()
+    assert np.array_equal(value, b(0.0, X)) and len(calls) == 16  # b alone: one per spike too
+    assert np.array_equal(joint_div, div)
     monkeypatch.setattr(drifts, "_phi_and_prime", lambda rho: (
         smooth_transition(rho, 1.0, 2.0), smooth_transition_with_deriv(rho, 1.0, 2.0)[1]))
     assert np.array_equal(div, b.divergence(0.0, X))
@@ -166,6 +170,23 @@ def test_lattice_joint_call_bit_equal(d, eps):
     # with eps = 0 the field is singular on the spikes: nan there on both sides
     assert np.array_equal(value, b(0.0, X), equal_nan=eps == 0)
     assert np.array_equal(div, b.divergence(0.0, X), equal_nan=eps == 0)
+
+
+# sha256 of lattice_drift(1.0, 1.5, 3, period=6, seed=5, eps=0.2) on a
+# (5, 7, 3) input: b from the eval-only call, then b and div b from the joint
+# call, as float64.  A change to this digest is a change to the kernel's bits.
+LATTICE_KERNEL_GOLDEN = "5bf6ed65281b34ec61cbe978d7a23d319441bdeac5d0614ccc6969926566b6c1"
+
+
+def test_lattice_kernel_golden_digest():
+    b = lattice_drift(1.0, 1.5, 3, period=6, seed=5, eps=0.2)
+    X = np.random.default_rng(6).uniform(-4, 4, (5, 7, 3))
+    # rho = 0, 1 and 2 from a spike, and a point on the cell's edge, where the wrap ties
+    X[0, :4] = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [3.0, 0.5, -0.5]]
+    value, div = b.value_and_divergence(0.0, X)
+    parts = (b(0.0, X), value, div)
+    digest = hashlib.sha256(b"".join(np.asarray(v, dtype=np.float64).tobytes() for v in parts))
+    assert digest.hexdigest() == LATTICE_KERNEL_GOLDEN
 
 
 def test_lattice_rejects_too_singular():
@@ -199,6 +220,18 @@ def test_sample_on_grid_singularity_fallback():
     b = radial_drift(0.5, 2)
     speed = b.sample_speed(g)
     assert np.all(np.isfinite(speed.values))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_lattice_sampled_on_grid_falls_back_near_spikes(alpha):
+    # with eps = 0 a spike on a node evaluates 0 * inf = nan there for any
+    # alpha > 0; nodes within h/2 of a spike take the h-mollified field
+    g = GridSpec(2, 4.0, 32, 0.0, 0.5, 2)
+    b = lattice_drift(1.0, alpha, 2)
+    assert np.all(np.isfinite(b.sample_speed(g).values))
+    assert np.all(np.isfinite(b.sample_div_negative(g).values))
+    rep = check_admissibility(b, 2.5, 12.0, 1.8, 12.0, g)
+    assert np.isfinite(rep.drift_norm) and np.isfinite(rep.div_norm) and rep.admissible
 
 
 def test_external_roundtrip_and_divergence(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -81,6 +82,49 @@ def test_smooth_transition_with_deriv_is_the_pair():
     s = np.concatenate([np.linspace(0.0, 3.0, 3001), [1.0, 2.0, np.nextafter(1.0, 2.0), -np.inf, np.inf]])
     phi, _ = smooth_transition_with_deriv(s, 1.0, 2.0)
     assert np.array_equal(phi, smooth_transition(s, 1.0, 2.0))
+
+
+def test_smooth_transition_any_layout():
+    s = np.linspace(0.5, 2.5, 1000).reshape(40, 25)
+    for view in (s.T, np.asfortranarray(s), s[::2, ::-3]):
+        phi, dphi = smooth_transition_with_deriv(view, 1.0, 2.0)
+        ref_phi, ref_dphi = smooth_transition_with_deriv(view.copy(order="C"), 1.0, 2.0)
+        assert np.array_equal(smooth_transition(view, 1.0, 2.0), ref_phi)
+        assert np.array_equal(phi, ref_phi) and np.array_equal(dphi, ref_dphi)
+
+
+# sha256 of smooth_transition and smooth_transition_with_deriv, as float64
+# bytes, on the inputs of _transition_golden_inputs for (lo, hi) = (1, 2) and
+# (1, 4), then on four 0-d inputs.  A change to this digest is a change to
+# the cutoff profile's bits.
+TRANSITION_GOLDEN = "7db31c25eb10cb3476f76ccf32fe504ca74c851904e6e3e48927e7609fdf8ce4"
+
+
+def _transition_golden_inputs(lo, hi):
+    # both plateaus; lo and hi and their neighbours; +-inf; and u = (hi - s)/(hi - lo)
+    # within 1e-2 of 0 and of 1, where the exponent 1/u - 1/(1-u) passes +-700
+    w = hi - lo
+    edges = [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf),
+             np.nextafter(hi, -np.inf), np.nextafter(hi, np.inf), -np.inf, np.inf]
+    u = np.geomspace(1e-6, 1e-2, 61)
+    return np.concatenate([np.linspace(lo - 1.0, hi + 1.0, 1001), edges, hi - u * w, lo + u * w])
+
+
+def test_smooth_transition_golden_digest():
+    h = hashlib.sha256()
+    for lo, hi in [(1.0, 2.0), (1.0, 4.0)]:
+        s = _transition_golden_inputs(lo, hi)
+        phi, dphi = smooth_transition_with_deriv(s, lo, hi)
+        assert phi.shape == dphi.shape == s.shape
+        for v in (smooth_transition(s, lo, hi), phi, dphi):
+            h.update(np.asarray(v, dtype=np.float64).tobytes())
+    for s0 in (1.5, np.float64(1.0005), 0.5, 2.5):
+        # a 0-d input gives 0-d outputs
+        outs = (smooth_transition(s0, 1.0, 2.0), *smooth_transition_with_deriv(s0, 1.0, 2.0))
+        assert all(np.ndim(v) == 0 for v in outs)
+        for v in outs:
+            h.update(np.asarray(v, dtype=np.float64).tobytes())
+    assert h.hexdigest() == TRANSITION_GOLDEN
 
 
 def test_norm_spec_validation():
