@@ -28,10 +28,11 @@ def _transition(s, lo, hi):
     them it overflows or underflows, where np.exp is up to ten times
     slower than in range.
     """
-    u = np.clip((hi - np.asarray(s, dtype=np.float64)) / (hi - lo), 0.0, 1.0)
-    phi = np.asarray(u, order="C")  # C order, also for a 0-d or Fortran-ordered s
+    t = (hi - np.asarray(s, dtype=np.float64)) / (hi - lo)
+    phi = np.asarray(np.clip(t, 0.0, 1.0), order="C")  # C order, also for a 0-d or Fortran s
     flat = phi.reshape(-1)  # a view, so flat indices write phi; they gather faster than a mask
-    band = ((flat > 0.0) & (flat < 1.0)).nonzero()[0]
+    # off the band phi is 0 or 1, its own rint; a nan stays in and the formula keeps it nan
+    band = (flat != np.rint(flat)).nonzero()[0]
     u = flat[band]
     with np.errstate(over="ignore"):
         flat[band] = phi_band = 1.0 / (1.0 + np.exp(1.0 / u - 1.0 / (1.0 - u)))
