@@ -19,9 +19,10 @@ from sdlab.grids import GridSpec, SpaceTimeField
 
 
 def _transition(s, lo, hi):
-    """(phi, band, u, phi_band): the profile, and u = (hi - s)/(hi - lo) on its band.
+    """(phi, band, u, phi_band): the profile, its band as flat indices, u and phi there.
 
-    With u clipped to [0, 1], phi = e^{-1/u} / (e^{-1/u} + e^{-1/(1-u)})
+    With u = (hi - s)/(hi - lo) clipped to [0, 1],
+    phi = e^{-1/u} / (e^{-1/u} + e^{-1/(1-u)})
     = 1 / (1 + e^{1/u - 1/(1-u)}).  Off the band 0 < u < 1, phi is u
     itself: exactly 1 for s <= lo and 0 for s >= hi.  So the exp runs on
     the band only; at the clipped ends its argument is +-inf, and near
