@@ -329,7 +329,8 @@ def _stability(sweep) -> dict:
             "distances": d, "uniform_bound": sweep["uniform_bound"]}
 
 
-# the checks below need the run and their own keys: their builders return them
+# the checks below need the run and their own keys: their builders return them.  Each
+# keys its noise from its own block of 1000 seeds above run.seed, which keys the ensemble
 
 
 def _feynman_kac(run):
@@ -341,7 +342,7 @@ def _feynman_kac(run):
         _whole_steps(f"t1 - {s:g}", g.time_end - s, dt)
     return lambda solution: sde_mod.feynman_kac_check(
         solution, run.problem.drift, run.source, panel, g.time_end, dt=dt,
-        paths=max(paths // 4, 400), seed=run.seed + 1).record()
+        paths=max(paths // 4, 400), seed=run.seed + 1000).record()
 
 
 def _krylov(run, *, deltas: list[float] = (0.05, 0.1, 0.2)):
@@ -356,14 +357,14 @@ def _krylov(run, *, deltas: list[float] = (0.05, 0.1, 0.2)):
     starts = [[sign * 0.25 if i == ax else 0.0 for i in range(d)]
               for ax in range(d) for sign in (1.0, -1.0)]
     return lambda _: sde_mod.krylov_verify(run.problem.drift, starts, run.source, deltas, dt=dt,
-                                           paths=1000, seed=run.seed + 2).record()
+                                           paths=1000, seed=run.seed + 2000).record()
 
 
 def _khasminskii(run, *, lambda_: float = 1.0):
     start, dt, _ = run.sampling
     _whole_steps("the span", 1.0, dt)
     return lambda _: sde_mod.khasminskii_verify(run.problem.drift, start, run.source, lambda_,
-                                                dt=dt, paths=1000, seed=run.seed + 3).record()
+                                                dt=dt, paths=1000, seed=run.seed + 3000).record()
 
 
 def _markov(run, *, t0: float = 0.2, t1: float = 0.4):
@@ -375,7 +376,7 @@ def _markov(run, *, t0: float = 0.2, t1: float = 0.4):
     _whole_steps("t1 - t0", t1 - t0, e.dt)
     return lambda _: sde_mod.markov_check(run.problem.drift, start, t0, t1,
                                           lambda X: np.cos(X[:, 0]), s=s, dt=e.dt, paths=e.paths,
-                                          seed=run.seed + 4).record()
+                                          seed=run.seed + 4000).record()
 
 
 # name -> (builder(run, **its keys) -> check, the section whose stage output the check takes)
@@ -477,12 +478,13 @@ def _run_config(run: Run, outdir: Path) -> dict:
     rpath = outdir / "reports.jsonl"
     with open(rpath, "w") as fh:
         for rep in reports:
-            fh.write(json.dumps(rep, default=float, allow_nan=False) + "\n")
+            # a numpy scalar as its Python value: a numpy bool is true or false, not 1.0
+            fh.write(json.dumps(rep, default=np.generic.item, allow_nan=False) + "\n")
     artifact("reports", rpath)
 
     manifest["all_passed"] = all(r["passed"] for r in reports)
     mpath = outdir / "manifest.json"
-    mpath.write_text(json.dumps(manifest, indent=2, default=float, allow_nan=False))
+    mpath.write_text(json.dumps(manifest, indent=2, default=np.generic.item, allow_nan=False))
     return manifest
 
 

@@ -1,8 +1,9 @@
 """Euler-Maruyama laboratory for dX = b(t,X) dt + sqrt(2) dW.
 
 Ensembles are driven by a counter-based generator keyed by (seed, step),
-so increments can be regenerated on demand (refinement couplings)
-instead of stored, and results are independent of evaluation order.
+so results are independent of evaluation order.  A coupled run steps a
+dt chain and a dt/2 chain on one Brownian path: each fine key (seed, j)
+is drawn once, and coarse step k adds fine increments 2k and 2k+1.
 Large steps are cut into row blocks with their own counters and filled
 on all cores; the stream depends on the block size, never on the
 number of threads.  Time integrals of path functionals use left-endpoint
@@ -18,7 +19,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 from scipy.special import ndtr
@@ -132,6 +132,7 @@ class TrajectoryEnsemble:
     times: np.ndarray  # stored times, stride subset of the step grid
     states: np.ndarray  # (paths, len(times), dim)
     integrals: dict = field(default_factory=dict)  # name -> (paths, len(times))
+    fine: TrajectoryEnsemble | None = None  # the dt/2 chain of a coupled run
 
     @property
     def dim(self) -> int:
@@ -159,71 +160,93 @@ def _start_array(config: EnsembleConfig) -> np.ndarray:
     return x.copy()
 
 
-def _increment(config: EnsembleConfig, k: int) -> np.ndarray:
-    """Brownian increment of step k: diffusion * sqrt(dt) * N(0, I), keyed by (seed, k)."""
-    z = step_normals(config.seed, k, config.paths, config.drift.dim)
-    z *= config.diffusion * np.sqrt(config.dt)
-    return z
+class _Chain:
+    """One Euler-Maruyama chain of ``simulate``: its state, running sums and stored columns."""
+
+    def __init__(self, config: EnsembleConfig, integrands: dict, divergence: bool):
+        self.config, self.integrands, self.divergence = config, integrands, divergence
+        self.x = _start_array(config)
+        names = [*integrands, "div"] if divergence else list(integrands)
+        self.sums = {name: np.zeros(config.paths) for name in names}
+        self.times = [config.start[0]]
+        self.states = [self.x.copy()]
+        self.stored_sums = {name: [np.zeros(config.paths)] for name in names}
+
+    def noise(self, k: int) -> np.ndarray:
+        """Brownian increment of step k: diffusion * sqrt(dt) * N(0, I), keyed by (seed, k)."""
+        c = self.config
+        z = step_normals(c.seed, k, c.paths, c.drift.dim)
+        z *= c.diffusion * np.sqrt(c.dt)
+        return z
+
+    def step(self, k: int, *increments: np.ndarray) -> None:
+        """Step k: the drift at its left end, then each increment given, or else ``noise(k)``."""
+        c, x = self.config, self.x
+        t = c.start[0] + k * c.dt
+        for name, f in self.integrands.items():
+            self.sums[name] += f(t, x) * c.dt
+        # in place: the drift's own array is never written to
+        if self.divergence:
+            b, div = c.drift.value_and_divergence(t, x)
+            self.sums["div"] += div * c.dt
+            x += b * c.dt
+        else:
+            x += c.drift(t, x) * c.dt
+        if not increments:
+            x += self.noise(k)  # drawn after the drift, so the two arrays never coexist
+        for dw in increments:
+            x += dw
+        if not np.all(np.isfinite(x)):
+            raise FloatingPointError(f"non-finite state at step {k}")
+        if (k + 1) % c.store_stride == 0 or k == c.n_steps - 1:
+            self.states.append(x.copy())
+            self.times.append(c.start[0] + (k + 1) * c.dt)
+            for name, total in self.sums.items():
+                self.stored_sums[name].append(total.copy())
+
+    def ensemble(self, fine: TrajectoryEnsemble | None = None) -> TrajectoryEnsemble:
+        # transposed, so that each stored column is contiguous
+        integrals = {name: np.array(cols).T for name, cols in self.stored_sums.items()}
+        return TrajectoryEnsemble(self.config, np.array(self.times),
+                                  np.stack(self.states, axis=1), integrals, fine)
 
 
 def simulate(config: EnsembleConfig, integrands: dict | None = None,
-             increment=None, divergence: bool = False) -> TrajectoryEnsemble:
+             coupled: bool = False, divergence: bool = False) -> TrajectoryEnsemble:
     """March the ensemble; optionally accumulate path-time integrals.
 
     States are stored at the start, at every ``store_stride``-th step and
     at the end.  ``integrands`` maps names to callables f(t, X) -> (paths,)
     whose left-endpoint Riemann sums are stored at the same steps:
     ``integrals[name]`` is (paths, len(times)), its first column zeros and
-    its last the sum over the whole horizon.  ``increment(k)`` is the noise
-    added at step k, by default diffusion * sqrt(dt) * step_normals(seed, k).
+    its last the sum over the whole horizon.  Step k adds
+    diffusion * sqrt(dt) * step_normals(seed, k).  With ``coupled`` the
+    result's ``fine`` is the dt/2 chain on the same Brownian path, stored
+    at the same times with the same integrals: it draws fine keys 0 to
+    2K - 1 once each, and coarse step k adds fine increments 2k and 2k+1.
     With ``divergence`` each step takes (b, div b) from one
     ``drift.value_and_divergence`` call and the ensemble carries the
     integral of div b as ``"div"``, a name no integrand may take.
     """
-    s, _ = config.start
-    K = config.n_steps
-    dt = config.dt
-    x = _start_array(config)
-    stride = config.store_stride
     integrands = integrands or {}
     if "div" in integrands:
         raise ValueError("the 'div' integral comes from simulate(..., divergence=True)")
-    if increment is None:
-        increment = partial(_increment, config)
-
-    stored = [x.copy()]
-    stored_times = [s]
-    names = [*integrands, "div"] if divergence else list(integrands)
-    sums = {name: np.zeros(config.paths) for name in names}
-    stored_sums = {name: [np.zeros(config.paths)] for name in names}
+    s, _ = config.start
+    K = config.n_steps
+    coarse = _Chain(config, integrands, divergence)
+    fine = _Chain(replace(config, dt=config.dt / 2, horizon=s + K * config.dt,
+                          store_stride=2 * config.store_stride),
+                  integrands, divergence) if coupled else None
 
     for k in range(K):
-        t = s + k * dt
-        for name, f in integrands.items():
-            sums[name] += f(t, x) * dt
-        # in place: the drift's own array is never written to
-        if divergence:
-            b, div = config.drift.value_and_divergence(t, x)
-            sums["div"] += div * dt
-            x += b * dt
+        if fine is None:
+            coarse.step(k)
         else:
-            x += config.drift(t, x) * dt
-        x += increment(k)
-        if not np.all(np.isfinite(x)):
-            raise FloatingPointError(f"non-finite state at step {k}")
-        if (k + 1) % stride == 0 or k == K - 1:
-            stored.append(x.copy())
-            stored_times.append(s + (k + 1) * dt)
-            for name in sums:
-                stored_sums[name].append(sums[name].copy())
-
-    # transposed, so that each stored column is contiguous
-    return TrajectoryEnsemble(
-        config=config,
-        times=np.array(stored_times),
-        states=np.stack(stored, axis=1),
-        integrals={name: np.array(cols).T for name, cols in stored_sums.items()},
-    )
+            dws = fine.noise(2 * k), fine.noise(2 * k + 1)
+            fine.step(2 * k, dws[0])
+            fine.step(2 * k + 1, dws[1])
+            coarse.step(k, *dws)
+    return coarse.ensemble(None if fine is None else fine.ensemble())
 
 
 # ---------------------------------------------------------------------------
@@ -425,22 +448,20 @@ def feynman_kac_check(solution, drift: DriftField, f, panel, T: float,
 
     ``solution`` must solve the terminal-value problem for the same
     (drift, f, T).  The discretization allowance C*(dt^{1/2} + h^2) uses
-    a constant fitted from a step-halving refinement at the first panel
-    point.
+    a constant fitted from the coupled dt and dt/2 chains at the first
+    panel point.
     """
     grid = solution.u.grid
     if abs(grid.time_end - T) > 1e-9:
         raise ValueError("solution horizon does not match T")
 
-    def mc_value(s, x, dt_, seed_):
-        cfg = EnsembleConfig(drift, (s, np.asarray(x, float)), T, dt_, paths, seed_,
-                             store_stride=max(1, int(round((T - s) / dt_))))
-        ens = simulate(cfg, integrands={"f": f})
-        return batch_stats(ens.integrals["f"][:, -1])
+    def mc_run(s, x, seed_, coupled=False):
+        cfg = EnsembleConfig(drift, (s, np.asarray(x, float)), T, dt, paths, seed_,
+                             store_stride=max(1, int(round((T - s) / dt))))
+        return simulate(cfg, integrands={"f": f}, coupled=coupled)
 
-    s0, x0 = panel[0]
-    v1, _ = mc_value(s0, x0, dt, seed + 900)
-    v2, _ = mc_value(s0, x0, dt / 2, seed + 900)
+    pair = mc_run(*panel[0], seed + 900, coupled=True)
+    v1, v2 = (batch_stats(ens.integrals["f"][:, -1])[0] for ens in (pair, pair.fine))
     gap = max(np.sqrt(dt) - np.sqrt(dt / 2), 1e-12)
     disc_constant = abs(v1 - v2) / gap + 1.0
 
@@ -449,7 +470,7 @@ def feynman_kac_check(solution, drift: DriftField, f, panel, T: float,
     for i, (s, x) in enumerate(panel):
         k = int(np.argmin(np.abs(grid.times - s)))
         pde = float(interp_space(grid, np.asarray(x, float), solution.u.values[k][None])[0])
-        mc, se = mc_value(s, x, dt, seed + i)
+        mc, se = batch_stats(mc_run(s, x, seed + i).integrals["f"][:, -1])
         gap = abs(pde - mc)
         rows.append({"s": s, "x": list(np.atleast_1d(x)), "pde": pde, "mc": mc, "se": se,
                      "pass": gap <= 3 * se + allowance})
@@ -478,6 +499,8 @@ def martingale_defect(drift: DriftField, start, probe: ProbeFunction, t0: float,
     """E[(M_{t1} - M_{t0}) G] for M_t = f(X_t) - f(X_s) - int L f(X_r) dr.
 
     t0 is read at the first step time within dt/2 of it; G defaults to 1.
+    The bias constant comes from the coupled dt/2 chain read at the same
+    times: a first-order weak bias C dt makes the two defects differ by C dt/2.
     """
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
@@ -487,24 +510,24 @@ def martingale_defect(drift: DriftField, start, probe: ProbeFunction, t0: float,
     def lf(t, X):
         return probe.lap(X) + np.sum(drift(t, X) * probe.grad(X), axis=1)
 
-    def run(dt_):
-        cfg = EnsembleConfig(drift, (s, start), t1, dt_, paths, seed)
-        K = cfg.n_steps
-        k0 = next((k for k in range(K) if abs(s + k * dt_ - t0) < dt_ / 2), K)
-        t = s + k0 * dt_
-        # stride k0 (K if k0 = 0) stores every multiple of k0 and the end, so
-        # column min(k0, 1) is step k0
-        ens = simulate(replace(cfg, store_stride=k0 or K), integrands={"Lf": lf})
+    cfg = EnsembleConfig(drift, (s, start), t1, dt, paths, seed)
+    K = cfg.n_steps
+    k0 = next((k for k in range(K) if abs(s + k * dt - t0) < dt / 2), K)
+    t = s + k0 * dt
+    # stride k0 (K if k0 = 0) stores every multiple of k0 and the end, so
+    # column min(k0, 1) is step k0 (fine step 2 k0)
+    pair = simulate(replace(cfg, store_stride=k0 or K), integrands={"Lf": lf}, coupled=True)
+    levels = []
+    for ens in (pair, pair.fine):
         x0, x_t0, x_t1 = (np.ascontiguousarray(ens.states[:, i]) for i in (0, min(k0, 1), -1))
         f0 = probe.f(x0)
         m_t0 = probe.f(x_t0) - f0 - ens.integrals["Lf"][:, min(k0, 1)]
         m_t1 = probe.f(x_t1) - f0 - ens.integrals["Lf"][:, -1]
-        g_val = G(t, x_t0) if G is not None else np.ones(cfg.paths)
-        return batch_stats((m_t1 - m_t0) * g_val)
+        g_val = G(t, x_t0) if G is not None else np.ones(paths)
+        levels.append(batch_stats((m_t1 - m_t0) * g_val))
 
-    defect, se = run(dt)
-    d2, _ = run(2 * dt)
-    bias_constant = abs(d2 - defect) / dt + 1.0
+    (defect, se), (fine, _) = levels
+    bias_constant = 2 * abs(defect - fine) / dt + 1.0
     allowance = bias_constant * dt
     passed = abs(defect) <= 3 * se + allowance
     return EstimateReport("martingale_defect", defect, se, 3 * se + allowance,
@@ -625,29 +648,3 @@ def markov_check(drift: DriftField, start, t0: float, t1: float, f,
     passed = abs(one - two) <= 3 * se
     return EstimateReport("markov_restart", one, se, two, abs(one - two) / max(se, 1e-300),
                           bool(passed), {"restart_estimate": two, "t0": t0})
-
-
-# ---------------------------------------------------------------------------
-# strong-order refinement
-
-
-def refinement_gap(config: EnsembleConfig) -> float:
-    """E|X^{dt} - X^{dt/2}|(T) with both chains on the same Brownian path.
-
-    Coarse step k adds the fine chain's increments 2k and 2k+1.
-    """
-    s, _ = config.start
-    K = config.n_steps
-    dt = config.dt
-    d = config.drift.dim
-    coarse = replace(config, store_stride=K)
-    fine = replace(coarse, dt=dt / 2, horizon=s + K * dt)
-    scale = config.diffusion * np.sqrt(dt / 2)
-
-    def coupled(k):
-        return scale * (step_normals(config.seed, 2 * k, config.paths, d)
-                        + step_normals(config.seed, 2 * k + 1, config.paths, d))
-
-    xc = simulate(coarse, increment=coupled).final_states
-    xf = simulate(fine).final_states
-    return float(np.sqrt(np.sum((xc - xf) ** 2, axis=1)).mean())

@@ -20,7 +20,6 @@ CALLERS = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "perfbench").glob("*.p
 # not yet on a run path; each is kept for the ROADMAP open item that wires it in
 # (with what only it calls: DensityEstimate, tightness_modulus and the private helpers)
 ALLOWED = {
-    "sde.refinement_gap": "item 1, the two-level bias estimate",
     "sde.density_estimate": "item 2, the density-duality verifier",
     "grids.SpaceTimeField.from_function": "item 2, the exponent check's sampled densities",
     "sde.weak_convergence_scan": "item 3, the weak-convergence verifier",

@@ -1,9 +1,11 @@
 import copy
+import itertools
 import json
 import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +15,10 @@ from click.testing import CliRunner
 
 import sdlab
 from sdlab import pde as pde_mod
+from sdlab import sde as sde_mod
 from sdlab.cli import (
     SCENARIOS,
+    VERIFIERS,
     ConfigError,
     _null_nonfinite,
     _run_config,
@@ -54,16 +58,16 @@ SCENARIO_DIGESTS = {
     "brownian-baseline": {
         "solution": "11dfce2e92194d028dad7d9e51549803db39e11f7461a20240eabc9fd959ac11",
         "ensemble": "23cdcaf723731cc65d6506c6a201e5dc14998cf625b258cc3888b5ede66ef858",
-        "reports": "fec69ab7d92ceb446a51d6e796c4915efa0a92988018c6b5412209169ccaea2e",
+        "reports": "8b9137e41d29af14eb62c2e3a8925d551f9d7b1060ff71256863f556c2bbe3d8",
     },
     "radial-c0.5-sweep": {
         "solution": "f3c5e16be94fd3ced999a4826516293a067d6744f00a446339f13a916e234c85",
         "ensemble": "a29f530c09c30ca46134efad86d2ed3c2c23c2c1b76cbabe98b972917a67594f",
-        "reports": "6a60459826d7b31b8959f639c70f0a877ce4fc3e4f2203390f9a6e7257f525b0",
+        "reports": "c255c77d66895d5ac0485c178789c92db3079195e998354de2dad0179cdeff0b",
     },
     "unit-diffusion-control": {
         "ensemble": "a0c4722862cb5cdffc91c558b71cfd9c839aaf6498ec886fe58baf26457d6a77",
-        "reports": "5b2fe33d887b04341474594be41d6e037a3dc0021da4033fe868d73824bee7a7",
+        "reports": "88ac3d11f92e34d9ce0c00869845914dab87306fc43a7bc113e3ae6d6666558e",
     },
 }
 
@@ -132,6 +136,55 @@ def test_baseline_artifacts_deterministic(runner, baseline_run, tmp_path):
     assert m1["config_hash"] == m2["config_hash"]
     for name in m1["artifacts"]:
         assert m1["artifacts"][name]["sha256"] == m2["artifacts"][name]["sha256"]
+
+
+def test_reports_write_every_verdict_as_a_json_boolean(baseline_run):
+    # density-ks and feynman-kac's panel rows compare numpy floats, which give numpy bools
+    _, out = baseline_run
+    verdicts = []
+    hook = lambda obj: verdicts.extend(v for k, v in obj.items() if k in ("pass", "passed")) or obj
+    for line in (out / "reports.jsonl").read_text().splitlines():
+        json.loads(line, object_hook=hook)
+    assert len(verdicts) == 10
+    assert all(type(v) is bool for v in verdicts), verdicts
+
+
+# every verifier, on a small grid and few paths
+EVERY_VERIFIER = {
+    "schema_version": 1,
+    "seed": 5,
+    "grid": {"dim": 2, "extent": 4.0, "points": 16, "t0": 0.0, "t1": 0.5, "steps": 10},
+    "drift": {"kind": "radial", "c": 0.5},
+    "source": {"kind": "bump"},
+    "pde": {},
+    "sweep": {"eps_levels": [0.4, 0.2]},
+    "ensemble": {"start": [0.5, 0.0], "s": 0.0, "horizon": 0.5, "dt": 0.05, "paths": 400},
+    "verifiers": [{"name": name} for name in VERIFIERS],
+}
+
+
+def test_verifiers_draw_disjoint_noise_keys(monkeypatch, tmp_path):
+    run = validate_config_data(EVERY_VERIFIER)
+    seeds, stage = {}, ["ensemble"]
+    draw = sde_mod.step_normals
+
+    def record(seed, step, *shape):
+        seeds.setdefault(stage[0], set()).add(seed)
+        return draw(seed, step, *shape)
+
+    def tagged(name, check):
+        def tagged_check(output):
+            stage[0] = name
+            return check(output)
+        return tagged_check
+
+    monkeypatch.setattr(sde_mod, "step_normals", record)
+    checks = tuple((section, tagged(v["name"], check))
+                   for v, (section, check) in zip(run.resolved["verifiers"], run.verifiers))
+    _run_config(replace(run, verifiers=checks), tmp_path)
+    assert set(seeds) == {"ensemble", "feynman-kac", "krylov", "khasminskii", "markov"}
+    for a, b in itertools.combinations(seeds, 2):
+        assert not seeds[a] & seeds[b], f"{a} and {b} share seeds {seeds[a] & seeds[b]}"
 
 
 def test_unit_diffusion_control_fails(runner, tmp_path):

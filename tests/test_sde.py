@@ -2,6 +2,7 @@ import concurrent.futures
 import hashlib
 import multiprocessing
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,7 +36,6 @@ from sdlab.sde import (
     markov_check,
     martingale_defect,
     normal_ks,
-    refinement_gap,
     save_ensemble,
     simulate,
     step_normals,
@@ -90,15 +90,16 @@ def test_ou_exact_moments():
 
 
 def test_strong_order_refinement():
+    # E|X^{dt} - X^{dt/2}|(T), both chains of one coupled run
+    gap = lambda p: float(np.linalg.norm(p.final_states - p.fine.final_states, axis=1).mean())
     dts = [2.0**-k for k in range(6, 11)]
-    gaps = [refinement_gap(EnsembleConfig(OU1, (0.0, [1.0]), 0.5, dt, 1000, 4)) for dt in dts]
+    gaps = [gap(simulate(EnsembleConfig(OU1, (0.0, [1.0]), 0.5, dt, 1000, 4), coupled=True))
+            for dt in dts]
     order = np.polyfit(np.log(dts), np.log(gaps), 1)[0]
     assert order >= 0.45  # at least strong order 1/2
-    # coupled coarse/fine chains coincide exactly when b = 0
-    gap0 = refinement_gap(
-        EnsembleConfig(zero_drift(1).mollified(1.0), (0.0, [0.0]), 0.5, 2.0**-6, 200, 5)
-    )
-    assert gap0 < 1e-12
+    # b = 0: both chains add the same increments in the same order
+    brownian = EnsembleConfig(zero_drift(1).mollified(1.0), (0.0, [0.0]), 0.5, 2.0**-6, 200, 5)
+    assert gap(simulate(brownian, coupled=True)) == 0
 
 
 def test_krylov_constant_integrand_exact():
@@ -451,49 +452,58 @@ def test_ensemble_save_load_roundtrip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# martingale_defect and refinement_gap step through simulate; the loops
-# they used to hand-write are kept here as bit-exact references
+# the coupled pair: a dt chain and a dt/2 chain on one Brownian path, kept
+# here as a hand-written two-chain loop that simulate must match bit for bit
 
 
-def _martingale_run_reference(drift, start, probe, t0, t1, G, s, dt_, paths, seed):
-    cfg = EnsembleConfig(drift, (s, start), t1, dt_, paths, seed, store_stride=1)
-    d = drift.dim
-    x = _start_array(cfg)
-    gen_int = np.zeros(cfg.paths)
-    m_t0 = None
-    g_val = None
-    f0 = probe.f(x)
-    t = s
-    for k in range(cfg.n_steps):
-        if abs(t - t0) < dt_ / 2 and m_t0 is None:
-            m_t0 = probe.f(x) - f0 - gen_int
-            g_val = G(t, x) if G is not None else np.ones(cfg.paths)
-        b = cfg.drift(t, x)
-        gen_int += (probe.lap(x) + np.sum(b * probe.grad(x), axis=1)) * dt_
-        x = x + b * dt_ + cfg.diffusion * np.sqrt(dt_) * step_normals(cfg.seed, k, cfg.paths, d)
-        t = s + (k + 1) * dt_
-    if m_t0 is None:
-        m_t0 = probe.f(x) - f0 - gen_int
-        g_val = G(t, x) if G is not None else np.ones(cfg.paths)
-    m_t1 = probe.f(x) - f0 - gen_int
-    return batch_stats((m_t1 - m_t0) * g_val)
+def _coupled_reference(config, integrands):
+    """Every state and running sum of both chains, coarse (K + 1 columns) and fine (2K + 1).
 
-
-def _refinement_gap_reference(config):
+    Fine step j takes dt/2 and adds diffusion * sqrt(dt/2) * step_normals(seed, j);
+    coarse step k takes dt and adds fine increments 2k and 2k+1, one after the other.
+    """
     s, _ = config.start
-    d = config.drift.dim
-    K = config.n_steps
-    dt = config.dt
+    d, dt, h = config.drift.dim, config.dt, config.dt / 2
     xc = _start_array(config)
     xf = xc.copy()
-    for k in range(K):
-        z1 = step_normals(config.seed, 2 * k, config.paths, d)
-        z2 = step_normals(config.seed, 2 * k + 1, config.paths, d)
+    coarse, fine = [xc], [xf]
+    csums = {name: [np.zeros(config.paths)] for name in integrands}
+    fsums = {name: [np.zeros(config.paths)] for name in integrands}
+    for k in range(config.n_steps):
+        w = [config.diffusion * np.sqrt(h) * step_normals(config.seed, j, config.paths, d)
+             for j in (2 * k, 2 * k + 1)]
+        for j in (2 * k, 2 * k + 1):
+            t = s + j * h
+            for name, f in integrands.items():
+                fsums[name].append(fsums[name][-1] + f(t, xf) * h)
+            xf = xf + config.drift(t, xf) * h + w[j - 2 * k]
+            fine.append(xf)
         t = s + k * dt
-        xf = xf + config.drift(t, xf) * (dt / 2) + config.diffusion * np.sqrt(dt / 2) * z1
-        xf = xf + config.drift(t + dt / 2, xf) * (dt / 2) + config.diffusion * np.sqrt(dt / 2) * z2
-        xc = xc + config.drift(t, xc) * dt + config.diffusion * np.sqrt(dt / 2) * (z1 + z2)
-    return float(np.sqrt(np.sum((xc - xf) ** 2, axis=1)).mean())
+        for name, f in integrands.items():
+            csums[name].append(csums[name][-1] + f(t, xc) * dt)
+        xc = xc + config.drift(t, xc) * dt + w[0] + w[1]
+        coarse.append(xc)
+    stack = lambda cols: np.stack(cols, axis=1)
+    return (stack(coarse), stack(fine),
+            {name: stack(cols) for name, cols in csums.items()},
+            {name: stack(cols) for name, cols in fsums.items()})
+
+
+def _martingale_reference(drift, start, probe, t0, t1, G, dt, paths, seed):
+    """martingale_defect's (defect, se) at dt and at dt/2, read off the reference pair."""
+    lf = lambda t, X: probe.lap(X) + np.sum(drift(t, X) * probe.grad(X), axis=1)
+    cfg = EnsembleConfig(drift, (0.0, start), t1, dt, paths, seed)
+    coarse, fine, csums, fsums = _coupled_reference(cfg, {"Lf": lf})
+    K = cfg.n_steps
+    k0 = next((k for k in range(K) if abs(k * dt - t0) < dt / 2), K)
+    levels = []
+    for states, lf_sums, i0 in ((coarse, csums["Lf"], k0), (fine, fsums["Lf"], 2 * k0)):
+        f0 = probe.f(states[:, 0])
+        m_t0 = probe.f(states[:, i0]) - f0 - lf_sums[:, i0]
+        m_t1 = probe.f(states[:, -1]) - f0 - lf_sums[:, -1]
+        g_val = G(k0 * dt, states[:, i0]) if G is not None else np.ones(paths)
+        levels.append(batch_stats((m_t1 - m_t0) * g_val))
+    return levels
 
 
 _BUMP = ProbeFunction(
@@ -507,17 +517,25 @@ _BUMP = ProbeFunction(
     (0.0, 0.3, 0.01, False),  # t0 = s: M_t0 is exactly zero
     (0.1234, 0.4, 0.01, False),  # off the step grid
     (0.2, 0.6, 0.08, False),  # tie: |0.24 - 0.2| < 0.04 first at k = 3, round() gives 2
-    (0.2, 0.6, 0.04, False),  # the same tie reached through the run at 2 dt
+    (0.2, 0.6, 0.04, False),  # criterion 11's window and dt
     (0.1, 0.4, 0.01, True),
 ])
 def test_martingale_defect_matches_reference_loop(t0, t1, dt, with_G):
     drift = linear_drift(1.0, 2).mollified(1.0)
     G = (lambda t, X: np.tanh(X[:, 0]) + t) if with_G else None
     rep = martingale_defect(drift, [0.5, 0.0], _BUMP, t0, t1, G=G, dt=dt, paths=400, seed=31)
-    defect, se = _martingale_run_reference(drift, [0.5, 0.0], _BUMP, t0, t1, G, 0.0, dt, 400, 31)
-    d2, _ = _martingale_run_reference(drift, [0.5, 0.0], _BUMP, t0, t1, G, 0.0, 2 * dt, 400, 31)
+    (defect, se), (fine, _) = _martingale_reference(drift, [0.5, 0.0], _BUMP, t0, t1, G, dt,
+                                                    400, 31)
     assert (rep.lhs, rep.se) == (defect, se)
-    assert rep.constant == abs(d2 - defect) / dt + 1.0
+    assert rep.constant == 2 * abs(defect - fine) / dt + 1.0
+
+
+def test_martingale_constant_exact_without_drift():
+    # b = 0 and Lf = 0: the two chains agree to the bit, so the bias constant is its floor
+    probe = ProbeFunction(lambda X: X[:, 0], lambda X: np.ones_like(X), lambda X: np.zeros(len(X)))
+    rep = martingale_defect(zero_drift(1).mollified(1.0), [0.5], probe, 0.2, 0.6,
+                            dt=0.04, paths=4000, seed=40)
+    assert rep.constant == 1.0
 
 
 @pytest.mark.parametrize("drift, start, horizon, dt", [
@@ -525,9 +543,47 @@ def test_martingale_defect_matches_reference_loop(t0, t1, dt, with_G):
     (radial_drift(0.5, 2, 0.1), [0.5, 0.0], 0.3, 0.01),
     (radial_drift(0.5, 2, 0.1), [0.5, 0.0], 0.3, 0.04),  # horizon off the dt/2 grid
 ])
-def test_refinement_gap_matches_reference_loop(drift, start, horizon, dt):
+def test_coupled_simulate_matches_reference_loop(drift, start, horizon, dt):
     cfg = EnsembleConfig(drift, (0.0, start), horizon, dt, 300, 33)
-    assert refinement_gap(cfg) == _refinement_gap_reference(cfg)
+    integrands = {"g": lambda t, X: np.cos(X[:, 0]) + t}
+    pair = simulate(cfg, integrands=integrands, coupled=True)
+    coarse, fine, csums, fsums = _coupled_reference(cfg, integrands)
+    # store_stride 1: every coarse step, so every other fine step
+    assert np.array_equal(pair.states, coarse)
+    assert np.array_equal(pair.integrals["g"], csums["g"])
+    assert np.array_equal(pair.fine.states, fine[:, ::2])
+    assert np.array_equal(pair.fine.integrals["g"], fsums["g"][:, ::2])
+    assert np.array_equal(pair.fine.times, pair.times)
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_coupled_fine_chain_is_the_half_step_run(stride):
+    # horizon 0.3 is 7.5 steps of 0.04: both chains run K = 8 steps of the coarse grid
+    cfg = EnsembleConfig(radial_drift(0.5, 2, 0.1), (0.0, [0.5, 0.0]), 0.3, 0.04, 300, 34,
+                         store_stride=stride)
+    integrands = {"g": lambda t, X: np.cos(X[:, 0]) + t}
+    pair = simulate(cfg, integrands=integrands, coupled=True, divergence=True)
+    half = simulate(replace(cfg, dt=cfg.dt / 2, horizon=cfg.n_steps * cfg.dt,
+                            store_stride=2 * stride), integrands=integrands, divergence=True)
+    assert np.array_equal(pair.fine.times, pair.times)
+    assert np.array_equal(pair.fine.times, half.times)
+    assert np.array_equal(pair.fine.states, half.states)
+    assert pair.fine.integrals.keys() == half.integrals.keys() == {"g", "div"}
+    for name in half.integrals:
+        assert np.array_equal(pair.fine.integrals[name], half.integrals[name])
+
+
+def test_coupled_run_draws_each_fine_key_once(monkeypatch):
+    keys = []
+    draw = sde.step_normals
+    monkeypatch.setattr(sde, "step_normals",
+                        lambda seed, step, *shape: keys.append((seed, step)) or draw(seed, step, *shape))
+    cfg = EnsembleConfig(OU1, (0.0, [1.0]), 0.5, 0.05, 200, 35)
+    simulate(cfg, coupled=True)
+    assert keys == [(35, j) for j in range(2 * cfg.n_steps)]
+    keys.clear()
+    simulate(cfg)
+    assert keys == [(35, k) for k in range(cfg.n_steps)]
 
 
 def test_simulate_stores_integrals_with_states():
@@ -648,9 +704,9 @@ def test_block_noise_results_do_not_depend_on_workers(monkeypatch, noise_pool):
     out = []
     for workers in (1, 2):
         noise_pool(workers)
-        out.append((simulate(cfg).states, refinement_gap(cfg)))
-    assert np.array_equal(out[0][0], out[1][0])
-    assert out[0][1] == out[1][1]
+        pair = simulate(cfg, coupled=True)
+        out.append((simulate(cfg).states, pair.states, pair.fine.states))
+    assert all(np.array_equal(a, b) for a, b in zip(*out))
 
 
 def test_block_noise_golden_digest():
