@@ -4,11 +4,13 @@ Ensembles are driven by a counter-based generator keyed by (seed, step),
 so results are independent of evaluation order.  A coupled run steps a
 dt chain and a dt/2 chain on one Brownian path: each fine key (seed, j)
 is drawn once, and coarse step k adds fine increments 2k and 2k+1.
-Large steps are cut into row blocks with their own counters and filled
-on all cores; the stream depends on the block size, never on the
-number of threads.  Time integrals of path functionals use left-endpoint
-Riemann sums, which makes the f == 1 identities exact rather than
-approximate.
+An ensemble of more than BLOCK_ROWS paths is cut into row blocks, each
+with its own noise counter, and one task on all cores takes a block
+through every step (drift, update, noise, finiteness check); the stream
+depends on the block size, never on the number of threads, and drifts
+act row by row, so the split changes no bit.  Time integrals of
+path functionals use left-endpoint Riemann sums, which makes the
+f == 1 identities exact rather than approximate.
 """
 
 from __future__ import annotations
@@ -58,25 +60,31 @@ def _fill_block(seed: int, step: int, block: int, out: np.ndarray) -> None:
     np.random.Generator(bits).standard_normal(out=out)
 
 
+def _block_edges(paths: int) -> list:
+    """Edges of a step's near-equal row blocks: block b is rows edges[b]:edges[b + 1]."""
+    nb = -(-paths // BLOCK_ROWS)
+    return [b * paths // nb for b in range(nb + 1)]
+
+
 def step_normals(seed: int, step: int, paths: int, dim: int) -> np.ndarray:
     """Standard normal increments for one step, reproducible by key.
 
-    The rows are cut into ceil(paths / BLOCK_ROWS) near-equal blocks;
-    block b is the Philox stream keyed by (seed, step) from counter b in
-    its top word, so block 0 is the unsplit stream.  Blocks run on the
-    module's thread pool (numpy releases the GIL while filling).  The
-    workers call numpy only, so a profiler keeping one span stack per
-    thread sees the whole draw inside this call.
+    The rows are cut at ``_block_edges(paths)``; block b is the Philox
+    stream keyed by (seed, step) from counter b in its top word, so block
+    0 is the unsplit stream.  Blocks run on the module's thread pool
+    (numpy releases the GIL while filling).  The pool's tasks, here and
+    in ``simulate``'s row blocks, call numpy and the drift's own kernels
+    only, so a profiler keeping one span stack per thread sees their
+    work inside the call that waits for them.
     """
     out = np.empty((paths, dim))
-    nb = -(-paths // BLOCK_ROWS)
-    if nb <= 1:
+    edges = _block_edges(paths)
+    if len(edges) == 2:
         _fill_block(seed, step, 0, out)
         return out
-    edges = [b * paths // nb for b in range(nb + 1)]
     pool = _pool()
-    futures = [pool.submit(_fill_block, seed, step, b, out[edges[b]:edges[b + 1]])
-               for b in range(nb)]
+    futures = [pool.submit(_fill_block, seed, step, b, out[lo:hi])
+               for b, (lo, hi) in enumerate(zip(edges, edges[1:]))]
     for fut in futures:
         fut.result()
     return out
@@ -161,54 +169,115 @@ def _start_array(config: EnsembleConfig) -> np.ndarray:
 
 
 class _Chain:
-    """One Euler-Maruyama chain of ``simulate``: its state, running sums and stored columns."""
+    """One Euler-Maruyama chain of ``simulate``: its state, running sums and stored columns.
+
+    A step runs on a slice of rows.  ``block`` None is the whole step on
+    the calling thread, through ``DriftField``'s methods and
+    ``step_normals``.  A block number marks a pool task: it draws that
+    block of the noise itself and calls only numpy and the drift's own
+    kernels (see ``step_normals``).
+    """
 
     def __init__(self, config: EnsembleConfig, integrands: dict, divergence: bool):
         self.config, self.integrands, self.divergence = config, integrands, divergence
         self.x = _start_array(config)
+        s, _ = config.start
+        K, stride = config.n_steps, config.store_stride
+        n = 1 + K // stride + (K % stride != 0)  # the start, every stride-th step, the end
+        self.times = np.array([s] + [s + min(j * stride, K) * config.dt for j in range(1, n)])
+        self.states = np.empty((config.paths, n, config.drift.dim))
+        self.states[:, 0] = self.x
         names = [*integrands, "div"] if divergence else list(integrands)
         self.sums = {name: np.zeros(config.paths) for name in names}
-        self.times = [config.start[0]]
-        self.states = [self.x.copy()]
-        self.stored_sums = {name: [np.zeros(config.paths)] for name in names}
+        # one row per stored time, handed out transposed so that each column is contiguous
+        self.columns = {name: np.zeros((n, config.paths)) for name in names}
 
-    def noise(self, k: int) -> np.ndarray:
-        """Brownian increment of step k: diffusion * sqrt(dt) * N(0, I), keyed by (seed, k)."""
+    def noise(self, k: int, rows: slice, block: int | None,
+              out: np.ndarray | None = None) -> np.ndarray:
+        """Brownian increment of step k on ``rows``: diffusion * sqrt(dt) * N(0, I).
+
+        Inline it is ``step_normals(seed, k)``; a pool task fills its block
+        of that array, keyed by (seed, k, block), into ``out`` or a new array.
+        """
         c = self.config
-        z = step_normals(c.seed, k, c.paths, c.drift.dim)
-        z *= c.diffusion * np.sqrt(c.dt)
-        return z
+        if block is None:
+            out = step_normals(c.seed, k, c.paths, c.drift.dim)
+        else:
+            out = np.empty((rows.stop - rows.start, c.drift.dim)) if out is None else out
+            _fill_block(c.seed, k, block, out)
+        out *= c.diffusion * np.sqrt(c.dt)
+        return out
 
-    def step(self, k: int, *increments: np.ndarray) -> None:
-        """Step k: the drift at its left end, then each increment given, or else ``noise(k)``."""
-        c, x = self.config, self.x
+    def drift_dt(self, t: float, x: np.ndarray, rows: slice, block: int | None) -> np.ndarray:
+        """b(t, x) * dt, a new array; with ``divergence``, div b * dt joins the "div" sum."""
+        c, drift = self.config, self.config.drift
+        if not self.divergence:
+            b = drift(t, x) if block is None else np.asarray(drift.eval_fn(t, x))
+        else:
+            if block is None:
+                b, div = drift.value_and_divergence(t, x)
+            elif drift.joint_fn is not None:
+                b, div = drift.joint_fn(t, x)
+            else:
+                b, div = np.asarray(drift.eval_fn(t, x)), np.asarray(drift.div_fn(t, x))
+            self.sums["div"][rows] += div * c.dt
+        return b * c.dt
+
+    def step(self, k: int, rows: slice, block: int | None, *increments: np.ndarray) -> bool:
+        """Step k on ``rows``: the drift at its left end, then each increment given
+        or else the step's own noise; False if a state is not finite."""
+        c = self.config
+        x = self.x[rows]
         t = c.start[0] + k * c.dt
         for name, f in self.integrands.items():
-            self.sums[name] += f(t, x) * c.dt
-        # in place: the drift's own array is never written to
-        if self.divergence:
-            b, div = c.drift.value_and_divergence(t, x)
-            self.sums["div"] += div * c.dt
-            x += b * c.dt
-        else:
-            x += c.drift(t, x) * c.dt
-        if not increments:
-            x += self.noise(k)  # drawn after the drift, so the two arrays never coexist
-        for dw in increments:
+            self.sums[name][rows] += f(t, x) * c.dt
+        bdt = self.drift_dt(t, x, rows, block)
+        x += bdt
+        # a pool task draws its noise into b * dt's buffer, never into the drift's own array
+        for dw in increments or (self.noise(k, rows, block, bdt),):
             x += dw
-        if not np.all(np.isfinite(x)):
-            raise FloatingPointError(f"non-finite state at step {k}")
+        finite = bool(np.isfinite(x).all())
         if (k + 1) % c.store_stride == 0 or k == c.n_steps - 1:
-            self.states.append(x.copy())
-            self.times.append(c.start[0] + (k + 1) * c.dt)
+            col = -(-(k + 1) // c.store_stride)
+            self.states[rows, col] = x
             for name, total in self.sums.items():
-                self.stored_sums[name].append(total.copy())
+                self.columns[name][col, rows] = total[rows]
+        return finite
 
     def ensemble(self, fine: TrajectoryEnsemble | None = None) -> TrajectoryEnsemble:
-        # transposed, so that each stored column is contiguous
-        integrals = {name: np.array(cols).T for name, cols in self.stored_sums.items()}
-        return TrajectoryEnsemble(self.config, np.array(self.times),
-                                  np.stack(self.states, axis=1), integrals, fine)
+        integrals = {name: cols.T for name, cols in self.columns.items()}
+        return TrajectoryEnsemble(self.config, self.times, self.states, integrals, fine)
+
+
+def _march(coarse: _Chain, fine: _Chain | None, rows: slice, block: int | None,
+           limit: list) -> int:
+    """Steps 0 to K - 1 of one chain, or of the coupled pair, on one row block.
+
+    Returns the first step whose state is not finite, else K.  ``limit``,
+    shared by the blocks of one run, holds a step at which every block
+    may stop: 0 once the caller has gone or a block has raised, else the
+    step of a block's non-finite state.  Only a failing step is ever
+    written, so no block stops before the earliest one.
+    """
+    K = coarse.config.n_steps
+    for k in range(K):
+        if k >= limit[0]:
+            return k
+        try:
+            if fine is None:
+                finite = coarse.step(k, rows, block)
+            else:
+                dws = fine.noise(2 * k, rows, block), fine.noise(2 * k + 1, rows, block)
+                finite = (fine.step(2 * k, rows, block, dws[0])
+                          and fine.step(2 * k + 1, rows, block, dws[1])
+                          and coarse.step(k, rows, block, *dws))
+        except BaseException:
+            limit[0] = 0
+            raise
+        if not finite:
+            limit[0] = min(limit[0], k)
+            return k
+    return K
 
 
 def simulate(config: EnsembleConfig, integrands: dict | None = None,
@@ -227,10 +296,24 @@ def simulate(config: EnsembleConfig, integrands: dict | None = None,
     With ``divergence`` each step takes (b, div b) from one
     ``drift.value_and_divergence`` call and the ensemble carries the
     integral of div b as ``"div"``, a name no integrand may take.
+
+    An ensemble of more than ``BLOCK_ROWS`` paths is cut at
+    ``step_normals``' block edges, and each block is one task on the
+    thread pool that takes its rows through every step: integrands,
+    drift, update, its block of the noise and the finiteness check.
+    Such a task calls the drift's ``eval_fn``, ``div_fn`` or
+    ``joint_fn`` directly, and the integrands on its rows from a pool
+    thread, so integrands and drifts must act row by row.  The bits do
+    not depend on the split or on the number of threads.  A block stops
+    at its first non-finite state and the others once past that step;
+    the error names the earliest such step.  An exception raised in a
+    block stops them all and is raised here.
     """
     integrands = integrands or {}
     if "div" in integrands:
         raise ValueError("the 'div' integral comes from simulate(..., divergence=True)")
+    if divergence and config.drift.div_fn is None:
+        raise ValueError("drift has no divergence information")
     s, _ = config.start
     K = config.n_steps
     coarse = _Chain(config, integrands, divergence)
@@ -238,14 +321,21 @@ def simulate(config: EnsembleConfig, integrands: dict | None = None,
                           store_stride=2 * config.store_stride),
                   integrands, divergence) if coupled else None
 
-    for k in range(K):
-        if fine is None:
-            coarse.step(k)
-        else:
-            dws = fine.noise(2 * k), fine.noise(2 * k + 1)
-            fine.step(2 * k, dws[0])
-            fine.step(2 * k + 1, dws[1])
-            coarse.step(k, *dws)
+    edges = _block_edges(config.paths)
+    blocks = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    limit = [K]
+    if len(blocks) == 1:
+        first = _march(coarse, fine, blocks[0], None, limit)
+    else:
+        futures = [_pool().submit(_march, coarse, fine, rows, b, limit)
+                   for b, rows in enumerate(blocks)]
+        try:
+            concurrent.futures.wait(futures)
+        finally:
+            limit[0] = 0  # an interrupted caller does not wait for the whole horizon
+        first = min(fut.result() for fut in futures)
+    if first < K:
+        raise FloatingPointError(f"non-finite state at step {first}")
     return coarse.ensemble(None if fine is None else fine.ensemble())
 
 

@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import multiprocessing
+import threading
 import time
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ import scipy.stats
 from sdlab import sde
 from sdlab.drifts import (
     DriftField,
+    constant_drift,
     lattice_drift,
     linear_drift,
     load_external,
@@ -733,3 +735,196 @@ def test_block_noise_pool_reset_in_forked_child(monkeypatch):
     assert got is not None, "forked child never drew its noise"
     assert np.array_equal(got, expected)
     assert proc.exitcode == 0
+
+
+# ---------------------------------------------------------------------------
+# block steps: above BLOCK_ROWS paths each row block is one pool task through
+# every step, and must match steps over all rows at once bit for bit
+
+
+def _serial_reference(config, integrands, divergence):
+    """Every state and running sum of one chain (K + 1 columns), each step over all rows."""
+    s, _ = config.start
+    d, dt = config.drift.dim, config.dt
+    x = _start_array(config)
+    states = [x]
+    names = [*integrands, "div"] if divergence else list(integrands)
+    sums = {name: [np.zeros(config.paths)] for name in names}
+    for k in range(config.n_steps):
+        t = s + k * dt
+        for name, f in integrands.items():
+            sums[name].append(sums[name][-1] + f(t, x) * dt)
+        if divergence:
+            sums["div"].append(sums["div"][-1] + config.drift.divergence(t, x) * dt)
+        z = step_normals(config.seed, k, config.paths, d)
+        x = x + config.drift(t, x) * dt + z * (config.diffusion * np.sqrt(dt))
+        states.append(x)
+    return (np.stack(states, axis=1),
+            {name: np.stack(cols, axis=1) for name, cols in sums.items()})
+
+
+_COS = {"g": lambda t, X: np.cos(X[:, 0]) + t}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("drift, start, integrands, divergence", [
+    (radial_drift(0.5, 2, 0.1), [0.5, 0.0], _COS, False),
+    (lattice_drift(1.0, 1.5, 2, eps=0.2), [0.3, 0.1], {}, True),  # b and div b from joint_fn
+    (radial_drift(0.5, 3, 0.1), [0.5, 0.0, 0.0], {}, True),  # no joint_fn
+    (linear_drift(1.0, 2).mollified(1.0), [1.0, 0.0], {}, False),
+    (constant_drift([1.0, -0.5]), [0.0, 0.0], {}, False),
+    (zero_drift(2), [0.0, 0.0], _COS, False),
+], ids=["radial", "lattice-div", "radial-div", "linear", "constant", "zero"])
+def test_block_step_matches_serial_loop(monkeypatch, noise_pool, workers, drift, start,
+                                        integrands, divergence):
+    monkeypatch.setattr(sde, "BLOCK_ROWS", 128)
+    noise_pool(workers)
+    # 1003 paths: 8 blocks of 125 or 126 rows; 5 steps at stride 2 store steps 0, 2, 4, 5
+    cfg = EnsembleConfig(drift, (0.0, start), 0.05, 0.01, 1003, 41, store_stride=2)
+    ens = simulate(cfg, integrands=integrands, divergence=divergence)
+    states, sums = _serial_reference(cfg, integrands, divergence)
+    cols = [0, 2, 4, 5]
+    assert np.array_equal(ens.states, states[:, cols])
+    assert ens.integrals.keys() == sums.keys()
+    for name in sums:
+        assert np.array_equal(ens.integrals[name], sums[name][:, cols])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_block_step_coupled_matches_reference_loop(monkeypatch, noise_pool, workers):
+    monkeypatch.setattr(sde, "BLOCK_ROWS", 128)
+    noise_pool(workers)
+    cfg = EnsembleConfig(radial_drift(0.5, 2, 0.1), (0.0, [0.5, 0.0]), 0.05, 0.01, 1003, 42)
+    pair = simulate(cfg, integrands=_COS, coupled=True)
+    coarse, fine, csums, fsums = _coupled_reference(cfg, _COS)
+    assert np.array_equal(pair.states, coarse)
+    assert np.array_equal(pair.integrals["g"], csums["g"])
+    assert np.array_equal(pair.fine.states, fine[:, ::2])
+    assert np.array_equal(pair.fine.integrals["g"], fsums["g"][:, ::2])
+
+
+@pytest.mark.parametrize("divergence", [False, True])
+def test_block_step_enters_no_traced_layer_on_a_pool_thread(monkeypatch, noise_pool, divergence):
+    # a profiler keeps one span stack per thread: a drift or noise call made by
+    # a pool task would be counted on top of the simulate span that waits for it
+    monkeypatch.setattr(sde, "BLOCK_ROWS", 128)
+    noise_pool(2)
+    threads = []
+
+    def recorded(fn):
+        def wrapper(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("__call__", "divergence", "value_and_divergence"):
+        monkeypatch.setattr(DriftField, name, recorded(getattr(DriftField, name)))
+    monkeypatch.setattr(sde, "step_normals", recorded(sde.step_normals))
+    for drift in (radial_drift(0.5, 2, 0.1), lattice_drift(1.0, 1.5, 2, eps=0.2)):
+        cfg = EnsembleConfig(drift, (0.0, [0.5, 0.0]), 0.05, 0.01, 1003, 43)
+        simulate(cfg, divergence=divergence)
+        simulate(cfg, coupled=True, divergence=divergence)
+    assert set(threads) <= {threading.get_ident()}
+
+
+def test_block_step_interrupted_caller_stops_the_blocks(monkeypatch, noise_pool):
+    monkeypatch.setattr(sde, "BLOCK_ROWS", 128)
+    noise_pool(2)
+    calls, marching = [], threading.Event()
+
+    class Interrupted(Exception):
+        pass
+
+    def interrupted_wait(futures):
+        marching.wait(10)
+        raise Interrupted
+
+    def count(t, X):
+        calls.append(t)
+        marching.set()
+        return np.zeros(len(X))
+
+    # 8 blocks of 10 000 steps; the caller leaves while they march
+    cfg = EnsembleConfig(BROWNIAN, (0.0, [0.0, 0.0]), 10.0, 0.001, 1003, 45)
+    with monkeypatch.context() as m, pytest.raises(Interrupted):
+        m.setattr(concurrent.futures, "wait", interrupted_wait)
+        simulate(cfg, integrands={"n": count})
+    sde._POOL.shutdown(wait=True)
+    assert 0 < len(calls) < cfg.n_steps
+
+
+def _failing_rows_config(paths, horizon, failures):
+    """Brownian paths whose drift turns infinite on rows r * paths // 8 from step k, for (r, k)."""
+    x0 = np.zeros((paths, 2))
+    for r, k in failures:
+        x0[r * paths // 8, 0] = 100.0 * (r + 1)
+
+    def ev(t, X):
+        b = np.zeros_like(X)
+        for r, k in failures:
+            b[(X[:, 0] > 100.0 * (r + 1) - 50) & (X[:, 0] < 100.0 * (r + 1) + 50)
+              & (t > (k - 0.5) * 0.01)] = np.inf
+        return b
+
+    return EnsembleConfig(DriftField(2, ev, mollification_level=1.0), (0.0, x0), horizon, 0.01,
+                          paths, 46)
+
+
+@pytest.mark.parametrize("paths", [100, 1003])  # one block, and 8 blocks
+def test_block_step_names_the_earliest_non_finite_step(monkeypatch, noise_pool, paths):
+    monkeypatch.setattr(sde, "BLOCK_ROWS", 128)
+    noise_pool(2)
+    # row 3/8 (block 3 of 8) fails at step 5, row 6/8 (block 6) at step 2
+    cfg = _failing_rows_config(paths, 0.1, [(3, 5), (6, 2)])
+    with pytest.raises(FloatingPointError, match="at step 2$"):
+        simulate(cfg)
+
+
+@pytest.mark.parametrize("failure", ["non-finite", "raises"])
+def test_block_step_failure_stops_the_other_blocks(monkeypatch, noise_pool, failure):
+    monkeypatch.setattr(sde, "BLOCK_ROWS", 128)
+    noise_pool(2)
+    calls = []
+
+    def count(t, X):
+        calls.append(t)
+        if failure == "raises" and np.any(X[:, 0] > 50):
+            raise ValueError("integrand failed")
+        return np.zeros(len(X))
+
+    # block 0 fails at its first step; the other 7 blocks have 10 000 steps to go
+    cfg = _failing_rows_config(1003, 100.0, [(0, 0)])
+    with pytest.raises(FloatingPointError if failure == "non-finite" else ValueError):
+        simulate(cfg, integrands={"n": count})
+    sde._POOL.shutdown(wait=True)
+    assert len(calls) < cfg.n_steps
+
+
+@pytest.mark.parametrize("paths", [100, 1003])  # one block, and 8 blocks of 125 or 126 rows
+@pytest.mark.parametrize("stride, stored", [
+    (3, [0, 3, 6, 7]),  # K = 7 steps: 7 % 3 != 0 adds the end
+    (7, [0, 7]),
+    (10, [0, 7]),  # a stride past the horizon stores the start and the end
+    (1, list(range(8))),
+])
+@pytest.mark.parametrize("integrands", [{}, {"one": lambda t, X: np.ones(len(X))}])
+def test_block_step_stored_columns_keep_their_layout(monkeypatch, noise_pool, paths, stride,
+                                                     stored, integrands):
+    monkeypatch.setattr(sde, "BLOCK_ROWS", 128)
+    noise_pool(2)
+    cfg = EnsembleConfig(radial_drift(0.5, 2, 0.1), (0.0, [0.5, 0.0]), 0.07, 0.01, paths, 44)
+    every = simulate(cfg, integrands=integrands)
+    ens = simulate(replace(cfg, store_stride=stride), integrands=integrands)
+    np.testing.assert_allclose(ens.times, 0.01 * np.array(stored), rtol=1e-12, atol=1e-15)
+    assert np.array_equal(ens.times, every.times[stored])
+    assert ens.states.shape == (paths, len(stored), 2) and ens.states.flags.c_contiguous
+    assert np.array_equal(ens.states, every.states[:, stored])
+    assert np.array_equal(ens.states[:, 0], _start_array(cfg))
+    for name, sums in ens.integrals.items():
+        assert sums.shape == (paths, len(stored))
+        assert all(sums[:, j].flags.c_contiguous for j in range(len(stored)))
+        assert np.array_equal(sums[:, 0], np.zeros(paths))
+        assert np.array_equal(sums, every.integrals[name][:, stored])
+    if stride > 1:
+        with pytest.raises(ValueError, match="not stored"):
+            ens.state_at(0.01)
