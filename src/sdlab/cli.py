@@ -1,12 +1,13 @@
 """Config-driven scenario runner.
 
-Verbs: run, emit-plots, list-scenarios, validate-config.  A config is
-YAML; ``validate_config_data`` turns it into a ``Run`` that holds every
+Verbs: run, list-scenarios, validate-config.  A config is YAML;
+``validate_config_data`` turns it into a ``Run`` that holds every
 object the run uses, and rejects it before anything is written when a
 key is unknown, missing or of the wrong type, or a value is out of
 range.  A run writes every artifact plus a manifest with content
-hashes.  Exit codes: 0 every verifier passed, 1 a verifier failed,
-2 invalid config, so the tool doubles as a CI acceptance gate.
+hashes; ``reports.jsonl`` is the one record of the verifiers' numbers.
+Exit codes: 0 every verifier passed, 1 a verifier failed, 2 invalid
+config, so the tool doubles as a CI acceptance gate.
 """
 
 from __future__ import annotations
@@ -272,7 +273,7 @@ def _config(*, schema_version: int, grid: dict, drift: dict, name: str = "unname
     if ensemble is not None:
         stages["ensemble"], resolved["ensemble"] = _bind("ensemble", _ensemble, ensemble,
                                                          b, seed, diffusion)
-    run = Run(name, seed, problem, profile, **stages)
+    run = Run(name, seed, problem, profile, resolved=resolved, **stages)
     checks, resolved["verifiers"] = [], []
     for i, v in enumerate(verifiers):
         vname, (build, stage), keys = _choose(f"verifiers[{i}]", VERIFIERS, v, "name", "verifier")
@@ -379,10 +380,19 @@ def _markov(run, *, t0: float = 0.2, t1: float = 0.4):
                                           seed=run.seed + 4000).record()
 
 
+def _zero_drift_only(check):
+    """The builder of a check of the b = 0 law, Brownian motion with covariance 2t."""
+    def build(run):
+        if (kind := run.resolved["drift"]["kind"]) != "zero":
+            raise ValueError(f"checks the law of b = 0: needs drift kind 'zero', got {kind!r}")
+        return check
+    return build
+
+
 # name -> (builder(run, **its keys) -> check, the section whose stage output the check takes)
 VERIFIERS = {
-    "brownian-variance": (lambda run: _brownian_variance, "ensemble"),
-    "density-ks": (lambda run: _density_ks, "ensemble"),
+    "brownian-variance": (_zero_drift_only(_brownian_variance), "ensemble"),
+    "density-ks": (_zero_drift_only(_density_ks), "ensemble"),
     "max-principle": (lambda run: _max_principle, "pde"),
     "feynman-kac": (_feynman_kac, "pde"),
     "stability": (lambda run: _stability, "sweep"),
@@ -489,47 +499,6 @@ def _run_config(run: Run, outdir: Path) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# plot-data emitters
-
-
-def _emit_plot_files(manifest: dict, outdir: Path) -> list:
-    written = []
-    reports = []
-    rpath = manifest["artifacts"].get("reports", {}).get("path")
-    if rpath and Path(rpath).exists():
-        reports = [json.loads(line) for line in Path(rpath).read_text().splitlines()]
-    else:
-        raise FileNotFoundError("reports artifact missing")
-
-    for rep in reports:
-        if rep["name"] == "krylov" and "meta_table" in rep:
-            path = outdir / "krylov_fit.dat"
-            with open(path, "w") as fh:
-                fh.write("# delta estimate se\n")
-                deltas = rep["meta_deltas"]
-                table = np.asarray(rep["meta_table"])
-                for j, d in enumerate(deltas):
-                    col = table[:, j]
-                    fh.write(f"{d} {col.mean()} {col.std() / np.sqrt(len(col))}\n")
-            written.append(path)
-        if rep["name"] == "stability" and "distances" in rep:
-            path = outdir / "stability.dat"
-            with open(path, "w") as fh:
-                fh.write("# pair_index l2_distance\n")
-                for i, d in enumerate(rep["distances"]):
-                    fh.write(f"{i} {d}\n")
-            written.append(path)
-        if rep["name"] == "density-ks":
-            path = outdir / "density_slices.dat"
-            with open(path, "w") as fh:
-                fh.write("# axis ks critical\n")
-                for row in rep["per_axis"]:
-                    fh.write(f"{row['axis']} {row['ks']} {row['critical_1pct']}\n")
-            written.append(path)
-    return written
-
-
-# ---------------------------------------------------------------------------
 # click entry points
 
 
@@ -580,20 +549,6 @@ def run(scenario, config_path, outdir):
     click.echo(f"{manifest['name']}: {status} "
                f"({len(manifest['verifiers'])} verifiers, manifest at {outdir}/manifest.json)")
     raise SystemExit(0 if manifest["all_passed"] else 1)
-
-
-@main.command("emit-plots")
-@click.argument("manifest_path", type=click.Path(exists=True))
-def emit_plots(manifest_path):
-    manifest = json.loads(Path(manifest_path).read_text())
-    outdir = Path(manifest_path).parent
-    try:
-        files = _emit_plot_files(manifest, outdir)
-    except FileNotFoundError as exc:
-        click.echo(f"missing upstream artifact: {exc}", err=True)
-        raise SystemExit(2)
-    for f in files:
-        click.echo(str(f))
 
 
 if __name__ == "__main__":

@@ -158,16 +158,6 @@ def radial_drift(c: float, d: int, eps: float = 0.0) -> DriftField:
 # Lattice drift of periodically repeated power-law spikes
 
 
-def _phi(rho):
-    """Radial cutoff: 1 on [0,1], 0 beyond 2, smooth in between."""
-    return smooth_transition(rho, 1.0, 2.0)
-
-
-def _phi_and_prime(rho):
-    """(_phi, its derivative) from one evaluation of the profile."""
-    return smooth_transition_with_deriv(rho, 1.0, 2.0)
-
-
 def lattice_drift(
     gamma_max: float,
     alpha_sing: float,
@@ -231,10 +221,10 @@ def lattice_drift(
             with np.errstate(divide="ignore", invalid="ignore"):
                 g = u ** (-a / 2.0)
                 if with_div:
-                    phi, dphi = _phi_and_prime(rho)
+                    phi, dphi = smooth_transition_with_deriv(rho, 1.0, 2.0)
                     div += gamma * (g * ((d - a * rho2 / u) * phi + rho * dphi))
                 else:
-                    phi = _phi(rho)
+                    phi = smooth_transition(rho, 1.0, 2.0)
                 gp = g * phi
                 for i in range(d):
                     b[i] += gamma * disps[i][k[i]] * gp

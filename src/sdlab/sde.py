@@ -71,22 +71,12 @@ def step_normals(seed: int, step: int, paths: int, dim: int) -> np.ndarray:
 
     The rows are cut at ``_block_edges(paths)``; block b is the Philox
     stream keyed by (seed, step) from counter b in its top word, so block
-    0 is the unsplit stream.  Blocks run on the module's thread pool
-    (numpy releases the GIL while filling).  The pool's tasks, here and
-    in ``simulate``'s row blocks, call numpy and the drift's own kernels
-    only, so a profiler keeping one span stack per thread sees their
-    work inside the call that waits for them.
+    0 is the unsplit stream.
     """
     out = np.empty((paths, dim))
     edges = _block_edges(paths)
-    if len(edges) == 2:
-        _fill_block(seed, step, 0, out)
-        return out
-    pool = _pool()
-    futures = [pool.submit(_fill_block, seed, step, b, out[lo:hi])
-               for b, (lo, hi) in enumerate(zip(edges, edges[1:]))]
-    for fut in futures:
-        fut.result()
+    for b, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        _fill_block(seed, step, b, out[lo:hi])
     return out
 
 
@@ -175,7 +165,8 @@ class _Chain:
     the calling thread, through ``DriftField``'s methods and
     ``step_normals``.  A block number marks a pool task: it draws that
     block of the noise itself and calls only numpy and the drift's own
-    kernels (see ``step_normals``).
+    kernels, so a profiler keeping one span stack per thread sees its
+    work inside the ``simulate`` call that waits for it.
     """
 
     def __init__(self, config: EnsembleConfig, integrands: dict, divergence: bool):

@@ -149,12 +149,13 @@ def test_reports_write_every_verdict_as_a_json_boolean(baseline_run):
     assert all(type(v) is bool for v in verdicts), verdicts
 
 
-# every verifier, on a small grid and few paths
+# every verifier, on a small grid and few paths; the zero drift, which
+# brownian-variance and density-ks need
 EVERY_VERIFIER = {
     "schema_version": 1,
     "seed": 5,
     "grid": {"dim": 2, "extent": 4.0, "points": 16, "t0": 0.0, "t1": 0.5, "steps": 10},
-    "drift": {"kind": "radial", "c": 0.5},
+    "drift": {"kind": "zero"},
     "source": {"kind": "bump"},
     "pde": {},
     "sweep": {"eps_levels": [0.4, 0.2]},
@@ -194,25 +195,6 @@ def test_unit_diffusion_control_fails(runner, tmp_path):
     assert "FAIL" in result.output
     manifest = json.loads((tmp_path / "ctl" / "manifest.json").read_text())
     assert not manifest["all_passed"]
-
-
-def test_emit_plots_writes_columnar_files(runner, baseline_run):
-    _, out = baseline_run
-    result = runner.invoke(main, ["emit-plots", str(out / "manifest.json")])
-    assert result.exit_code == 0
-    dat = out / "density_slices.dat"
-    assert dat.exists()
-    lines = dat.read_text().splitlines()
-    assert lines[0].startswith("#")
-    assert all(len(line.split()) == 3 for line in lines[1:])
-
-
-def test_emit_plots_missing_reports(runner, tmp_path):
-    manifest = {"artifacts": {}, "stages": []}
-    path = tmp_path / "manifest.json"
-    path.write_text(json.dumps(manifest))
-    result = runner.invoke(main, ["emit-plots", str(path)])
-    assert result.exit_code == 2
 
 
 def test_unknown_verifier_reported_failed(runner, tmp_path):
@@ -348,6 +330,14 @@ VALUE_FAULTS = {
     "constant-1d-on-2d": (lambda c: c.update(drift={"kind": "constant", "value": [1.0]}), "value"),
     "external-missing": (lambda c: c.update(drift={"kind": "external", "path": "no/such.sdlf"}),
                          "path"),
+    # brownian-variance and density-ks check the law of b = 0, whatever the drift
+    "b0-law-constant": (lambda c: c.update(drift={"kind": "constant", "value": [1.0, 0.0]}),
+                        "(brownian-variance): checks the law of b = 0: needs drift kind 'zero', "
+                        "got 'constant'"),
+    "b0-law-linear": (lambda c: c.update(drift={"kind": "linear"},
+                                         verifiers=[{"name": "density-ks"}]),
+                      "(density-ks): checks the law of b = 0: needs drift kind 'zero', "
+                      "got 'linear'"),
     "rising-ladder": (lambda c: c.update(sweep={"eps_levels": [0.1, 0.2]}), "eps_levels"),
     "grid-dim-64": (lambda c: c["grid"].update(dim=64), "grid: spatial_dim"),
     "imex": (lambda c: c["pde"].update(scheme="imex"), "pde: unknown scheme 'imex'"),

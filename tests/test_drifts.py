@@ -147,8 +147,8 @@ def test_lattice_divergence_one_profile_call_per_spike(monkeypatch):
     calls.clear()
     assert np.array_equal(value, b(0.0, X)) and len(calls) == 16  # b alone: one per spike too
     assert np.array_equal(joint_div, div)
-    monkeypatch.setattr(drifts, "_phi_and_prime", lambda rho: (
-        smooth_transition(rho, 1.0, 2.0), smooth_transition_with_deriv(rho, 1.0, 2.0)[1]))
+    monkeypatch.setattr(drifts, "smooth_transition_with_deriv", lambda rho, lo, hi: (
+        smooth_transition(rho, lo, hi), smooth_transition_with_deriv(rho, lo, hi)[1]))
     assert np.array_equal(div, b.divergence(0.0, X))
 
 

@@ -643,7 +643,7 @@ def _serial_blocks_3_4():
 
 @pytest.fixture
 def noise_pool(monkeypatch):
-    """``use(n)`` runs step_normals' blocks on a fresh pool of n threads."""
+    """``use(n)`` runs simulate's row blocks on a fresh pool of n threads."""
     pools = []
 
     def use(workers):
@@ -696,7 +696,10 @@ def test_block_noise_does_not_depend_on_start_order(monkeypatch, noise_pool):
     monkeypatch.setattr(sde, "BLOCK_ROWS", 128)
     noise_pool(8)
     monkeypatch.setattr(sde, "_POOL", _LastFirstPool(sde._POOL))
-    assert np.array_equal(step_normals(3, 4, 1000, 2), _serial_blocks_3_4())
+    # 1003 paths: simulate's 8 row blocks of 125 or 126 rows, started last first
+    cfg = EnsembleConfig(radial_drift(0.5, 2, 0.1), (0.0, [0.5, 0.0]), 0.03, 0.01, 1003, 47)
+    states, _ = _serial_reference(cfg, {}, False)
+    assert np.array_equal(simulate(cfg).states, states)
 
 
 def test_block_noise_results_do_not_depend_on_workers(monkeypatch, noise_pool):
@@ -719,11 +722,13 @@ def test_block_noise_golden_digest():
 
 def test_block_noise_pool_reset_in_forked_child(monkeypatch):
     monkeypatch.setattr(sde, "BLOCK_ROWS", 128)
-    expected = step_normals(3, 4, 1000, 2)  # the parent's pool now has threads
+    # 1003 paths: 8 row blocks, each a task on the pool
+    cfg = EnsembleConfig(radial_drift(0.5, 2, 0.1), (0.0, [0.5, 0.0]), 0.03, 0.01, 1003, 48)
+    expected = simulate(cfg).states  # the parent's pool now has threads
     recv, send = multiprocessing.Pipe(duplex=False)
 
     def child():
-        send.send(step_normals(3, 4, 1000, 2))
+        send.send(simulate(cfg).states)
 
     proc = multiprocessing.get_context("fork").Process(target=child)
     proc.start()
