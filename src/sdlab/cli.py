@@ -335,6 +335,9 @@ def _stability(sweep) -> dict:
 
 
 def _feynman_kac(run):
+    if run.problem.direction != "backward":
+        raise ValueError("checks the terminal-value problem: needs pde.direction 'backward', "
+                         f"got {run.problem.direction!r}")
     g = run.problem.grid
     start, dt, paths = run.sampling
     panel = [(g.time_start, list(start)),

@@ -1,9 +1,11 @@
 """Catalog of singular drift fields with divergence bookkeeping.
 
-Fields are evaluable callables b(t, x) with optional analytic
-divergence; mollified variants are produced in closed form for the
-analytic entries, and an ingested field, resolved on its grid, is its
-own mollification.  Evaluation is pure and reentrant.
+Each field is one kernel ``fn(t, X, div)`` that returns (b, div b) from
+one pass, sharing their common terms, or (b, None) when ``div`` is
+False; b has the same bits either way.  Mollified variants are produced
+in closed form for the analytic entries, and an ingested field,
+resolved on its grid, is its own mollification.  Evaluation is pure and
+reentrant.
 """
 
 from __future__ import annotations
@@ -26,43 +28,32 @@ from sdlab.norms import (
 
 @dataclass
 class DriftField:
-    """An evaluable vector field with divergence info.
+    """An evaluable vector field and its divergence, from one kernel.
 
-    ``eval_fn(t, X)`` takes X of shape (..., d) and returns the same
-    shape; ``div_fn`` returns shape (...).  ``joint_fn``, if set, returns
-    both from one pass, bit-equal to the two.  ``mollifier(eps)`` builds
-    the field regularized at scale eps > 0.  A solver freezes the field
-    at its first time unless ``time_dependent`` is set.
+    ``fn(t, X, div)`` takes X of shape (..., d) and returns (b, div b),
+    of shapes (..., d) and (...), when ``div`` is True, else (b, None);
+    b must not depend on ``div``.  ``mollifier(eps)`` builds the field
+    regularized at scale eps > 0.  A solver freezes the field at its
+    first time unless ``time_dependent`` is set.
     """
 
     dim: int
-    eval_fn: Callable
-    div_fn: Callable | None = None
+    fn: Callable
     mollification_level: float = 0.0
     provenance: str = "custom"
     singular_distance: Callable | None = None
     metadata: dict = field(default_factory=dict)
     mollifier: Callable | None = None
     time_dependent: bool = False
-    joint_fn: Callable | None = None
 
     def __call__(self, t, X) -> np.ndarray:
-        return np.asarray(self.eval_fn(t, np.asarray(X, dtype=np.float64)))
+        return self.fn(t, np.asarray(X, dtype=np.float64), False)[0]
 
     def divergence(self, t, X) -> np.ndarray:
-        if self.div_fn is None:
-            raise ValueError("drift has no divergence information")
-        return np.asarray(self.div_fn(t, np.asarray(X, dtype=np.float64)))
+        return self.fn(t, np.asarray(X, dtype=np.float64), True)[1]
 
     def value_and_divergence(self, t, X) -> tuple[np.ndarray, np.ndarray]:
-        """(b(t, X), div b(t, X)), from one ``joint_fn`` call where there is one."""
-        if self.joint_fn is None:
-            return self(t, X), self.divergence(t, X)
-        return self.joint_fn(t, np.asarray(X, dtype=np.float64))
-
-    def div_negative(self, t, X) -> np.ndarray:
-        """(div b)^-, the negative part of the divergence."""
-        return np.maximum(-self.divergence(t, X), 0.0)
+        return self.fn(t, np.asarray(X, dtype=np.float64), True)
 
     def mollified(self, eps: float) -> "DriftField":
         if eps <= 0:
@@ -74,37 +65,31 @@ class DriftField:
             return self
         raise ValueError(f"{self.provenance} drift has no mollifier")
 
-    def sample_speed(self, grid: GridSpec) -> SpaceTimeField:
-        """|b| sampled on the grid as a scalar space-time field.
+    def sample(self, grid: GridSpec) -> tuple[SpaceTimeField, SpaceTimeField]:
+        """(|b|, (div b)^-) sampled on the grid as scalar space-time fields.
 
         Nodes within h/2 of the singular set are evaluated at
         mollification level h so the samples stay finite while keeping
         the supercritical profile at resolvable scales.
         """
-        return self._sample_scalar(grid, lambda b, t, X: np.linalg.norm(b(t, X), axis=-1))
-
-    def sample_div_negative(self, grid: GridSpec) -> SpaceTimeField:
-        return self._sample_scalar(grid, lambda b, t, X: b.div_negative(t, X))
-
-    def _sample_scalar(self, grid: GridSpec, extract) -> SpaceTimeField:
         X = grid.nodes()
         shape = grid.spatial_shape()
-        needs_fallback = None
+        near = None
         if self.singular_distance is not None and self.mollification_level == 0.0:
-            needs_fallback = self.singular_distance(X) < grid.h / 2
-        slices = []
-        fallback = self.mollified(grid.h) if needs_fallback is not None and needs_fallback.any() else None
-        # a frozen field is sampled once, at the first time, and repeated
-        times = grid.times if self.time_dependent else grid.times[:1]
-        for t in times:
+            near = self.singular_distance(X) < grid.h / 2
+        fallback = self.mollified(grid.h) if near is not None and near.any() else None
+        speed, div_neg = [], []
+        # a frozen field is sampled once, at the first time, and repeated as a view
+        for t in grid.times if self.time_dependent else grid.times[:1]:
             with np.errstate(divide="ignore", invalid="ignore"):
-                vals = extract(self, t, X)
+                b, div = self.value_and_divergence(t, X)
             if fallback is not None:
-                vals = np.where(needs_fallback, extract(fallback, t, X), vals)
-            slices.append(vals.reshape(shape))
-        if not self.time_dependent:
-            slices *= grid.nt
-        return SpaceTimeField(grid, np.stack(slices), 1)
+                fb, fdiv = fallback.value_and_divergence(t, X)
+                b, div = np.where(near[..., None], fb, b), np.where(near, fdiv, div)
+            speed.append(np.linalg.norm(b, axis=-1).reshape(shape))
+            div_neg.append(np.maximum(-div, 0.0).reshape(shape))
+        return tuple(SpaceTimeField(grid, np.broadcast_to(np.stack(s), (grid.nt, *shape)), 1)
+                     for s in (speed, div_neg))
 
 
 # ---------------------------------------------------------------------------
@@ -132,20 +117,16 @@ def radial_drift(c: float, d: int, eps: float = 0.0) -> DriftField:
             u += X[..., i] * X[..., i]
         return u
 
-    def ev(t, X):
-        u = sq_norm(X)[..., None]
-        return -c * X / (u + e2) if e2 > 0 else -c * X / u
-
-    def dv(t, X):
+    def fn(t, X, div):
         u = sq_norm(X)
         if e2 > 0:
-            return -c * ((d - 2) * u + d * e2) / (u + e2) ** 2
-        return -c * (d - 2) / u
+            v = u + e2
+            return -c * X / v[..., None], (-c * ((d - 2) * u + d * e2) / v**2 if div else None)
+        return -c * X / u[..., None], (-c * (d - 2) / u if div else None)
 
     return DriftField(
         dim=d,
-        eval_fn=ev,
-        div_fn=dv,
+        fn=fn,
         mollification_level=eps,
         provenance="radial",
         singular_distance=(None if eps > 0 else lambda X: np.linalg.norm(X, axis=-1)),
@@ -203,7 +184,7 @@ def lattice_drift(
         # one pass over the lattice points builds b, and div b when asked, from
         # the terms they share; coordinates lead, shape (d, ...), so every array
         # operation runs over the points.  Without div b the profile's
-        # derivative is never taken; div b alone is read off the joint pass.
+        # derivative is never taken.
         Xt = np.ascontiguousarray(np.moveaxis(X, -1, 0))
         # a spike's displacement on axis i depends only on its coordinate there,
         # one of `period` values: d * period wrapped displacements and squares
@@ -236,9 +217,7 @@ def lattice_drift(
 
     return DriftField(
         dim=d,
-        eval_fn=lambda t, X: spikes(X, False)[0],
-        div_fn=lambda t, X: spikes(X, True)[1],
-        joint_fn=lambda t, X: spikes(X, True),
+        fn=lambda t, X, div: spikes(X, div),
         mollification_level=eps,
         provenance="lattice",
         singular_distance=(None if eps > 0 else sdist),
@@ -259,8 +238,7 @@ def lattice_drift(
 def zero_drift(d: int) -> DriftField:
     return DriftField(
         dim=d,
-        eval_fn=lambda t, X: np.zeros_like(X),
-        div_fn=lambda t, X: np.zeros(X.shape[:-1]),
+        fn=lambda t, X, div: (np.zeros_like(X), np.zeros(X.shape[:-1]) if div else None),
         mollification_level=np.inf,
         provenance="custom",
         metadata={"name": "zero"},
@@ -271,8 +249,8 @@ def constant_drift(v) -> DriftField:
     v = np.asarray(v, dtype=np.float64)
     return DriftField(
         dim=len(v),
-        eval_fn=lambda t, X: np.broadcast_to(v, X.shape).copy(),
-        div_fn=lambda t, X: np.zeros(X.shape[:-1]),
+        fn=lambda t, X, div: (np.broadcast_to(v, X.shape).copy(),
+                              np.zeros(X.shape[:-1]) if div else None),
         mollification_level=np.inf,
         provenance="custom",
         metadata={"name": "constant", "v": v.tolist()},
@@ -283,8 +261,7 @@ def linear_drift(rate: float, d: int) -> DriftField:
     """Ornstein-Uhlenbeck style drift b(x) = -rate * x; div = -rate*d."""
     return DriftField(
         dim=d,
-        eval_fn=lambda t, X: -rate * X,
-        div_fn=lambda t, X: np.full(X.shape[:-1], -rate * d),
+        fn=lambda t, X, div: (-rate * X, np.full(X.shape[:-1], -rate * d) if div else None),
         mollification_level=np.inf,
         provenance="custom",
         metadata={"name": "linear", "rate": rate},
@@ -321,35 +298,30 @@ def load_external(path) -> DriftField:
     for i, k in enumerate(g.wavenumbers()):
         div_vals += np.fft.ifftn(1j * k * np.fft.fftn(values[:, i], axes=axes), axes=axes).real
         grad_sq += spatial_gradient(SpaceTimeField(g, values[:, i], 1), energy=True)
-    div_field = SpaceTimeField(g, div_vals, 1)
 
     # energy-class quantities
     l2 = np.sqrt(np.sum(values**2, axis=tuple(range(1, values.ndim))) * g.cell_volume)
     grad_l2l2 = float(np.sqrt(np.trapezoid(grad_sq, g.times)))
 
-    def interp(t, X, data):
-        # data shape (nt, c, N, ..., N) -> multilinear, periodic space
+    # div b as component d after b's, so one interpolation serves both
+    d = g.spatial_dim
+    data = np.concatenate([values, div_vals[:, None]], axis=1)
+
+    def fn(t, X, div):
+        # multilinear, periodic in space, between the two slices around t
         tt = np.clip((t - g.time_start) / g.dt, 0, g.time_steps)
         k0 = int(np.floor(tt))
         k1 = min(k0 + 1, g.time_steps)
         wt = tt - k0
-        lo = interp_space(g, X, data[k0])
-        if wt == 0.0:
-            return lo
-        hi = interp_space(g, X, data[k1])
-        return (1 - wt) * lo + wt * hi
-
-    def ev(t, X):
-        vals = interp(t, X, values)  # (c, ...)
-        return np.moveaxis(vals, 0, -1)
-
-    def dv(t, X):
-        return interp(t, X, div_field.values[:, None])[0]
+        c = d + 1 if div else d
+        vals = interp_space(g, X, data[k0, :c])  # (c, ...)
+        if wt != 0.0:
+            vals = (1 - wt) * vals + wt * interp_space(g, X, data[k1, :c])
+        return np.moveaxis(vals[:d], 0, -1), (vals[d] if div else None)
 
     return DriftField(
-        dim=g.spatial_dim,
-        eval_fn=ev,
-        div_fn=dv,
+        dim=d,
+        fn=fn,
         mollification_level=g.h,  # grid-resolved fields count as regularized
         provenance="external",
         metadata={
@@ -415,14 +387,13 @@ def check_admissibility(
     centers = [(mid, np.zeros(grid.spatial_dim)), (mid, np.full(grid.spatial_dim, 0.5))]
     fam = CutoffFamily(radius=1.0, centers=centers)
 
-    def loc(sample_fn, g, p, q):
-        f = sample_fn(g)
-        return localized_norm(f, NormSpec(0.0, p, q, 1.0), fam)
+    def localized(g):
+        speed, div_neg = b.sample(g)
+        return (localized_norm(speed, NormSpec(0.0, p1, q1, 1.0), fam),
+                localized_norm(div_neg, NormSpec(0.0, p2, q2, 1.0), fam))
 
-    bn = loc(b.sample_speed, grid, p1, q1)
-    bn2 = loc(b.sample_speed, fine, p1, q1)
-    dn = loc(b.sample_div_negative, grid, p2, q2)
-    dn2 = loc(b.sample_div_negative, fine, p2, q2)
+    bn, dn = localized(grid)
+    bn2, dn2 = localized(fine)
 
     def stable(v, v2):
         if v2 == 0.0:

@@ -164,9 +164,9 @@ class _Chain:
     A step runs on a slice of rows.  ``block`` None is the whole step on
     the calling thread, through ``DriftField``'s methods and
     ``step_normals``.  A block number marks a pool task: it draws that
-    block of the noise itself and calls only numpy and the drift's own
-    kernels, so a profiler keeping one span stack per thread sees its
-    work inside the ``simulate`` call that waits for it.
+    block of the noise itself and calls only numpy and the drift's
+    kernel ``fn``, so a profiler keeping one span stack per thread sees
+    its work inside the ``simulate`` call that waits for it.
     """
 
     def __init__(self, config: EnsembleConfig, integrands: dict, divergence: bool):
@@ -202,15 +202,13 @@ class _Chain:
     def drift_dt(self, t: float, x: np.ndarray, rows: slice, block: int | None) -> np.ndarray:
         """b(t, x) * dt, a new array; with ``divergence``, div b * dt joins the "div" sum."""
         c, drift = self.config, self.config.drift
-        if not self.divergence:
-            b = drift(t, x) if block is None else np.asarray(drift.eval_fn(t, x))
+        if block is not None:
+            b, div = drift.fn(t, x, self.divergence)
+        elif self.divergence:
+            b, div = drift.value_and_divergence(t, x)
         else:
-            if block is None:
-                b, div = drift.value_and_divergence(t, x)
-            elif drift.joint_fn is not None:
-                b, div = drift.joint_fn(t, x)
-            else:
-                b, div = np.asarray(drift.eval_fn(t, x)), np.asarray(drift.div_fn(t, x))
+            b = drift(t, x)
+        if self.divergence:
             self.sums["div"][rows] += div * c.dt
         return b * c.dt
 
@@ -292,19 +290,17 @@ def simulate(config: EnsembleConfig, integrands: dict | None = None,
     ``step_normals``' block edges, and each block is one task on the
     thread pool that takes its rows through every step: integrands,
     drift, update, its block of the noise and the finiteness check.
-    Such a task calls the drift's ``eval_fn``, ``div_fn`` or
-    ``joint_fn`` directly, and the integrands on its rows from a pool
-    thread, so integrands and drifts must act row by row.  The bits do
-    not depend on the split or on the number of threads.  A block stops
-    at its first non-finite state and the others once past that step;
-    the error names the earliest such step.  An exception raised in a
-    block stops them all and is raised here.
+    Such a task calls the drift's kernel ``fn`` directly, and the
+    integrands on its rows from a pool thread, so integrands and drifts
+    must act row by row.  The bits do not depend on the split or on the
+    number of threads.  A block stops at its first non-finite state and
+    the others once past that step; the error names the earliest such
+    step.  An exception raised in a block stops them all and is raised
+    here.
     """
     integrands = integrands or {}
     if "div" in integrands:
         raise ValueError("the 'div' integral comes from simulate(..., divergence=True)")
-    if divergence and config.drift.div_fn is None:
-        raise ValueError("drift has no divergence information")
     s, _ = config.start
     K = config.n_steps
     coarse = _Chain(config, integrands, divergence)
@@ -530,7 +526,7 @@ def feynman_kac_check(solution, drift: DriftField, f, panel, T: float,
     ``solution`` must solve the terminal-value problem for the same
     (drift, f, T).  The discretization allowance C*(dt^{1/2} + h^2) uses
     a constant fitted from the coupled dt and dt/2 chains at the first
-    panel point.
+    panel point; the dt chain is also that point's Monte Carlo estimate.
     """
     grid = solution.u.grid
     if abs(grid.time_end - T) > 1e-9:
@@ -541,7 +537,7 @@ def feynman_kac_check(solution, drift: DriftField, f, panel, T: float,
                              store_stride=max(1, int(round((T - s) / dt))))
         return simulate(cfg, integrands={"f": f}, coupled=coupled)
 
-    pair = mc_run(*panel[0], seed + 900, coupled=True)
+    pair = mc_run(*panel[0], seed, coupled=True)
     v1, v2 = (batch_stats(ens.integrals["f"][:, -1])[0] for ens in (pair, pair.fine))
     gap = max(np.sqrt(dt) - np.sqrt(dt / 2), 1e-12)
     disc_constant = abs(v1 - v2) / gap + 1.0
@@ -551,7 +547,8 @@ def feynman_kac_check(solution, drift: DriftField, f, panel, T: float,
     for i, (s, x) in enumerate(panel):
         k = int(np.argmin(np.abs(grid.times - s)))
         pde = float(interp_space(grid, np.asarray(x, float), solution.u.values[k][None])[0])
-        mc, se = batch_stats(mc_run(s, x, seed + i).integrals["f"][:, -1])
+        ens = pair if i == 0 else mc_run(s, x, seed + i)
+        mc, se = batch_stats(ens.integrals["f"][:, -1])
         gap = abs(pde - mc)
         rows.append({"s": s, "x": list(np.atleast_1d(x)), "pde": pde, "mc": mc, "se": se,
                      "pass": gap <= 3 * se + allowance})

@@ -63,7 +63,7 @@ SCENARIO_DIGESTS = {
     "radial-c0.5-sweep": {
         "solution": "f3c5e16be94fd3ced999a4826516293a067d6744f00a446339f13a916e234c85",
         "ensemble": "a29f530c09c30ca46134efad86d2ed3c2c23c2c1b76cbabe98b972917a67594f",
-        "reports": "c255c77d66895d5ac0485c178789c92db3079195e998354de2dad0179cdeff0b",
+        "reports": "73add312d11bd8be7e6b38fef2c7aecc50877bc3fdc036d1de4e7b41725642ee",
     },
     "unit-diffusion-control": {
         "ensemble": "a0c4722862cb5cdffc91c558b71cfd9c839aaf6498ec886fe58baf26457d6a77",
@@ -344,6 +344,10 @@ VALUE_FAULTS = {
     # the verifiers' own spans must be whole numbers of dt too
     "feynman-kac-off-grid": (lambda c: c["ensemble"].update(horizon=0.48, dt=0.04),
                              "verifiers[2] (feynman-kac): t1 - 0 = 0.5"),
+    # feynman-kac's solution must solve the terminal-value problem
+    "feynman-kac-forward": (lambda c: c["pde"].update(direction="forward"),
+                            "verifiers[2] (feynman-kac): checks the terminal-value problem: "
+                            "needs pde.direction 'backward', got 'forward'"),
     "markov-off-grid": (lambda c: c["verifiers"].append({"name": "markov", "t1": 0.4025}),
                         "(markov): t1 - t0"),
     "krylov-off-grid": (lambda c: c["verifiers"].append({"name": "krylov",

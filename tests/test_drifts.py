@@ -47,18 +47,86 @@ def test_radial_drift_bits_match_np_sum(d, eps):
 def test_frozen_drift_sampled_once():
     calls = []
     g = GridSpec(2, 4.0, 8, 0.0, 1.0, 4)
+
+    def fn(t, X, div):
+        # b = -(1 + t) x, div b = -2 (1 + t)
+        calls.append(t)
+        return -(1.0 + t) * X, (np.full(X.shape[:-1], -2.0 * (1.0 + t)) if div else None)
+
     for time_dependent in (False, True):
         calls.clear()
-        b = drifts.DriftField(2, lambda t, X: calls.append(t) or (1.0 + t) * X,
-                              mollification_level=1.0, time_dependent=time_dependent)
-        speed = b.sample_speed(g).values
+        b = drifts.DriftField(2, fn, mollification_level=1.0, time_dependent=time_dependent)
+        speed, div_neg = (f.values for f in b.sample(g))
         if time_dependent:
             assert calls == list(g.times)
             assert speed[-1] == pytest.approx(2.0 * speed[0])
+            assert np.all(div_neg[-1] == 4.0) and np.all(div_neg[0] == 2.0)
         else:
             # frozen at its first time, as a solver freezes it
             assert calls == [g.times[0]]
             assert all(np.array_equal(v, speed[0]) for v in speed)
+            assert np.all(div_neg == 2.0)
+
+
+def _time_varying_external(tmp_path):
+    g = GridSpec(2, 2.0, 16, 0.0, 1.0, 10)
+    vel = SpaceTimeField.from_vector_function(
+        g, lambda t, x, y: [np.sin(np.pi * x) * np.cos(3 * t), np.cos(np.pi * y + t)])
+    write_field(tmp_path / "b.sdlf", vel)
+    return load_external(tmp_path / "b.sdlf")
+
+
+KERNELS = {
+    "radial": lambda tmp_path: radial_drift(0.5, 3),
+    "radial-eps": lambda tmp_path: radial_drift(0.5, 3, 0.1),
+    "lattice": lambda tmp_path: lattice_drift(1.0, 1.5, 2, seed=3, eps=0.2),
+    "zero": lambda tmp_path: zero_drift(2),
+    "constant": lambda tmp_path: constant_drift([1.0, -2.0]),
+    "linear": lambda tmp_path: linear_drift(2.0, 3),
+    "external": _time_varying_external,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KERNELS))
+def test_kernel_value_does_not_depend_on_div(tmp_path, kind):
+    b = KERNELS[kind](tmp_path)
+    X = np.random.default_rng(1).uniform(-2, 2, (4, 50, b.dim))
+    for t in (0.0, 0.35):  # 0.35 lies between two of the external field's slices
+        value, div = b.fn(t, X, True)
+        alone, none = b.fn(t, X, False)
+        assert none is None
+        assert value.shape == X.shape and div.shape == X.shape[:-1]
+        assert np.array_equal(value, alone)
+
+
+def _wave(time_dependent):
+    def fn(t, X, div):
+        b = np.stack([np.sin(X[..., 0] + t), np.cos(X[..., 1])], axis=-1)
+        return b, (np.cos(X[..., 0] + t) - np.sin(X[..., 1]) if div else None)
+    return drifts.DriftField(2, fn, mollification_level=1.0, time_dependent=time_dependent)
+
+
+@pytest.mark.parametrize("b", [radial_drift(0.5, 2), lattice_drift(1.0, 1.5, 2),
+                               _wave(False), _wave(True)],
+                         ids=["radial", "lattice", "frozen", "time-dependent"])
+def test_sample_is_speed_and_negative_divergence(b):
+    g = GridSpec(2, 4.0, 16, 0.0, 0.5, 3)
+    X = g.nodes()
+    near = np.zeros(len(X), dtype=bool)
+    if b.singular_distance is not None:
+        # the singular fields put a node on a singular point: the h/2 fallback is taken
+        near = b.singular_distance(X) < g.h / 2
+        assert near.any()
+    speed, div_neg = b.sample(g)
+    for k, t in enumerate(g.times):
+        t = t if b.time_dependent else g.times[0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value, div = b(t, X), b.divergence(t, X)
+        if near.any():
+            fallback = b.mollified(g.h)
+            value[near], div[near] = fallback(t, X[near]), fallback.divergence(t, X[near])
+        assert np.array_equal(speed.values[k].ravel(), np.linalg.norm(value, axis=-1))
+        assert np.array_equal(div_neg.values[k].ravel(), np.maximum(-div, 0.0))
 
 
 def test_radial_drift_scaling_symmetry():
@@ -102,11 +170,9 @@ def test_radial_d2_divergence_free():
 
 
 def test_div_negative_split():
-    b = linear_drift(1.0, 2)  # div = -2 everywhere
-    X = np.zeros((4, 2))
-    assert np.allclose(b.div_negative(0.0, X), 2.0)
-    c = constant_drift([1.0, 0.0])
-    assert np.allclose(c.div_negative(0.0, X), 0.0)
+    g = GridSpec(2, 4.0, 8, 0.0, 0.5, 2)
+    assert np.all(linear_drift(1.0, 2).sample(g)[1].values == 2.0)  # div = -2 everywhere
+    assert np.all(constant_drift([1.0, 0.0]).sample(g)[1].values == 0.0)
 
 
 def test_lattice_drift_periodicity_and_seed():
@@ -217,9 +283,8 @@ def test_simple_drifts():
 
 def test_sample_on_grid_singularity_fallback():
     g = GridSpec(2, 4.0, 16, 0.0, 0.5, 2)
-    b = radial_drift(0.5, 2)
-    speed = b.sample_speed(g)
-    assert np.all(np.isfinite(speed.values))
+    speed, div_neg = radial_drift(0.5, 2).sample(g)
+    assert np.all(np.isfinite(speed.values)) and np.all(np.isfinite(div_neg.values))
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
@@ -228,8 +293,7 @@ def test_lattice_sampled_on_grid_falls_back_near_spikes(alpha):
     # alpha > 0; nodes within h/2 of a spike take the h-mollified field
     g = GridSpec(2, 4.0, 32, 0.0, 0.5, 2)
     b = lattice_drift(1.0, alpha, 2)
-    assert np.all(np.isfinite(b.sample_speed(g).values))
-    assert np.all(np.isfinite(b.sample_div_negative(g).values))
+    assert all(np.all(np.isfinite(f.values)) for f in b.sample(g))
     rep = check_admissibility(b, 2.5, 12.0, 1.8, 12.0, g)
     assert np.isfinite(rep.drift_norm) and np.isfinite(rep.div_norm) and rep.admissible
 
@@ -306,6 +370,16 @@ def test_admissibility_mollified_radial():
     assert rep.admissible
     d = rep.as_dict()
     assert d["drift_norm"] > 0 and d["div_norm"] >= 0
+
+
+def test_admissibility_samples_each_grid_once():
+    g = GridSpec(2, 4.0, 16, 0.0, 0.5, 2)
+    b = radial_drift(0.5, 2, 0.2)
+    kernel, calls = b.fn, []
+    b.fn = lambda t, X, div: calls.append((len(X), div)) or kernel(t, X, div)
+    check_admissibility(b, 2.5, 12.0, 1.8, 12.0, g)
+    # a frozen field: one kernel call for b and div b on each of the two grids
+    assert calls == [(16**2, True), (32**2, True)]
 
 
 def test_admissibility_singular_radial_divergence_unstable():

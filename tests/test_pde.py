@@ -102,9 +102,9 @@ def test_constant_drift_is_advection():
 def test_time_dependent_residual_uses_each_steps_operator(direction):
     # b = 3 sin 6t changes sign over the window, so every step has its own operator
     g = GridSpec(1, 2.0, 32, 0.0, 1.0, 50)
-    b = DriftField(1, lambda t, X: np.full_like(X, 3.0 * np.sin(6.0 * t)),
-                   lambda t, X: np.zeros(X.shape[:-1]), mollification_level=1.0,
-                   time_dependent=True)
+    b = DriftField(1, lambda t, X, div: (np.full_like(X, 3.0 * np.sin(6.0 * t)),
+                                         np.zeros(X.shape[:-1]) if div else None),
+                   mollification_level=1.0, time_dependent=True)
     f = SpaceTimeField.from_function(g, lambda t, x: 1.0 + np.cos(np.pi * x))
     sol = solve(PDEProblem(b, f, g, direction=direction))
     assert sol.residual < 1e-10
@@ -122,12 +122,11 @@ def test_external_time_dependent_drift_is_not_frozen(tmp_path):
     u = solve(PDEProblem(b, f, g)).u.values
 
     def analytic(time_dependent):
-        def ev(t, X):
+        def fn(t, X, div):
             out = np.zeros_like(X)
             out[..., 0] = 3.0 * np.sin(6.0 * t)
-            return out
-        return DriftField(2, ev, lambda t, X: np.zeros(X.shape[:-1]), mollification_level=1.0,
-                          time_dependent=time_dependent)
+            return out, (np.zeros(X.shape[:-1]) if div else None)
+        return DriftField(2, fn, mollification_level=1.0, time_dependent=time_dependent)
 
     stepped = solve(PDEProblem(analytic(True), f, g)).u.values
     frozen = solve(PDEProblem(analytic(False), f, g)).u.values

@@ -212,6 +212,25 @@ def test_feynman_kac_constant_exact():
     assert rep.passed
 
 
+def test_feynman_kac_simulates_each_panel_point_once(monkeypatch):
+    calls, real = [], sde.simulate
+    monkeypatch.setattr(sde, "simulate", lambda cfg, **kw: calls.append(
+        (cfg.start[0], cfg.seed, kw.get("coupled", False))) or real(cfg, **kw))
+    g = GridSpec(2, 8.0, 32, 0.0, 0.5, 100)
+    f = SpaceTimeField.from_function(g, lambda t, x, y: np.cos(x))
+    sol = solve(PDEProblem(BROWNIAN, f, g, direction="backward"))
+    source = lambda t, X: np.cos(X[:, 0])  # noqa: E731
+    rep = feynman_kac_check(sol, BROWNIAN, source, [(0.0, [0.5, 0.0]), (0.25, [1.0, 0.0])],
+                            0.5, dt=0.005, paths=400, seed=16)
+    # the coupled pair at the first point, then one run at the second
+    assert calls == [(0.0, 16, True), (0.25, 17, False)]
+    # the first row's estimate is the pair's dt chain
+    cfg = EnsembleConfig(BROWNIAN, (0.0, np.array([0.5, 0.0])), 0.5, 0.005, 400, 16,
+                         store_stride=100)
+    pair = real(cfg, integrands={"f": source}, coupled=True)
+    assert rep.meta["panel"][0]["mc"] == batch_stats(pair.integrals["f"][:, -1])[0]
+
+
 def test_feynman_kac_fourier_mode_oracle():
     # b=0, f = cos(k x1): u(s, x) = cos(k x1) (1 - e^{-k^2 (T-s)}) / k^2
     L, T = 8.0, 0.5
@@ -393,19 +412,15 @@ def test_jacobian_semigroup_steps_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(sde, "step_normals", counted("normals", normals))
-    monkeypatch.setattr(DriftField, "__call__", counted("drift", DriftField.__call__))
-    monkeypatch.setattr(DriftField, "divergence", counted("div", DriftField.divergence))
-    lattice = lattice_drift(1.0, 1.5, 2, eps=0.2)
-    lattice.joint_fn = counted("joint", lattice.joint_fn)
     g = GridSpec(2, 4.0, 32, 0.0, 0.25, 4)
-    # n_steps = 10: no step is drawn or evaluated a second time; the radial
-    # field falls back to its two functions, the lattice takes both from one pass
-    for drift, expected in [(radial_drift(0.5, 2, 0.1), {"drift": 10, "div": 10, "joint": 0}),
-                            (lattice, {"drift": 0, "div": 0, "joint": 10})]:
-        counts.update(normals=0, drift=0, div=0, joint=0)
+    # n_steps = 10: no step is drawn a second time, and each takes b and div b
+    # from one kernel call
+    for drift in (radial_drift(0.5, 2, 0.1), lattice_drift(1.0, 1.5, 2, eps=0.2)):
+        drift.fn = counted("kernel", drift.fn)
+        counts.update(normals=0, kernel=0)
         jacobian_semigroup(drift, lambda X: np.exp(-np.sum(X**2, axis=1)), g,
                            0.0, 0.1, dt=0.01, paths=400, seed=32)
-        assert counts == {"normals": 10, **expected}
+        assert counts == {"normals": 10, "kernel": 10}
 
 
 def test_simulate_reserves_the_div_integral():
@@ -435,11 +450,6 @@ def test_jacobian_determinant_needs_the_divergence():
     cfg = EnsembleConfig(BROWNIAN, (0.0, [0.0, 0.0]), 0.1, 0.01, 200, 33)
     with pytest.raises(ValueError, match="'div'"):
         backward_flow_det(simulate(cfg))
-    no_div = DriftField(2, lambda t, X: np.zeros_like(X), mollification_level=1.0)
-    g = GridSpec(2, 4.0, 32, 0.0, 0.25, 4)
-    with pytest.raises(ValueError, match="divergence"):
-        jacobian_semigroup(no_div, lambda X: np.ones(len(X)), g, 0.0, 0.1, dt=0.01,
-                           paths=200, seed=34)
 
 
 def test_ensemble_save_load_roundtrip(tmp_path):
@@ -670,13 +680,9 @@ def test_block_noise_first_block_is_unsplit_prefix():
     assert np.array_equal(z[half:], _philox_block(5, 17, 1, half, 3))
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_block_noise_matches_serial_blocks(monkeypatch, noise_pool, workers):
+def test_block_noise_matches_serial_blocks(monkeypatch):
     monkeypatch.setattr(sde, "BLOCK_ROWS", 128)
-    noise_pool(workers)
-    reference = _serial_blocks_3_4()
-    for _ in range(20):  # a completion-order fault shows only on some runs
-        assert np.array_equal(step_normals(3, 4, 1000, 2), reference)
+    assert np.array_equal(step_normals(3, 4, 1000, 2), _serial_blocks_3_4())
 
 
 class _LastFirstPool:
@@ -774,8 +780,8 @@ _COS = {"g": lambda t, X: np.cos(X[:, 0]) + t}
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("drift, start, integrands, divergence", [
     (radial_drift(0.5, 2, 0.1), [0.5, 0.0], _COS, False),
-    (lattice_drift(1.0, 1.5, 2, eps=0.2), [0.3, 0.1], {}, True),  # b and div b from joint_fn
-    (radial_drift(0.5, 3, 0.1), [0.5, 0.0, 0.0], {}, True),  # no joint_fn
+    (lattice_drift(1.0, 1.5, 2, eps=0.2), [0.3, 0.1], {}, True),
+    (radial_drift(0.5, 3, 0.1), [0.5, 0.0, 0.0], {}, True),
     (linear_drift(1.0, 2).mollified(1.0), [1.0, 0.0], {}, False),
     (constant_drift([1.0, -0.5]), [0.0, 0.0], {}, False),
     (zero_drift(2), [0.0, 0.0], _COS, False),
@@ -864,14 +870,14 @@ def _failing_rows_config(paths, horizon, failures):
     for r, k in failures:
         x0[r * paths // 8, 0] = 100.0 * (r + 1)
 
-    def ev(t, X):
+    def fn(t, X, div):
         b = np.zeros_like(X)
         for r, k in failures:
             b[(X[:, 0] > 100.0 * (r + 1) - 50) & (X[:, 0] < 100.0 * (r + 1) + 50)
               & (t > (k - 0.5) * 0.01)] = np.inf
-        return b
+        return b, (np.zeros(len(X)) if div else None)
 
-    return EnsembleConfig(DriftField(2, ev, mollification_level=1.0), (0.0, x0), horizon, 0.01,
+    return EnsembleConfig(DriftField(2, fn, mollification_level=1.0), (0.0, x0), horizon, 0.01,
                           paths, 46)
 
 
