@@ -646,9 +646,9 @@ def _philox_block(seed, step, block, rows, dim):
     return np.random.Generator(bits).standard_normal((rows, dim))
 
 
-def _serial_blocks_3_4():
-    """step_normals(3, 4, 1000, 2) at BLOCK_ROWS = 128: 8 equal blocks of 125, not 7 x 128 + 104."""
-    return np.concatenate([_philox_block(3, 4, b, 125, 2) for b in range(8)])
+def _serial_blocks_3_4(dim):
+    """step_normals(3, 4, 1000, dim) at BLOCK_ROWS = 128: 8 equal blocks of 125, not 7 x 128 + 104."""
+    return np.concatenate([_philox_block(3, 4, b, 125, dim) for b in range(8)])
 
 
 @pytest.fixture
@@ -680,9 +680,10 @@ def test_block_noise_first_block_is_unsplit_prefix():
     assert np.array_equal(z[half:], _philox_block(5, 17, 1, half, 3))
 
 
-def test_block_noise_matches_serial_blocks(monkeypatch):
+@pytest.mark.parametrize("dim", [1, 2])
+def test_block_noise_matches_serial_blocks(monkeypatch, dim):
     monkeypatch.setattr(sde, "BLOCK_ROWS", 128)
-    assert np.array_equal(step_normals(3, 4, 1000, 2), _serial_blocks_3_4())
+    assert np.array_equal(step_normals(3, 4, 1000, dim), _serial_blocks_3_4(dim))
 
 
 class _LastFirstPool:
