@@ -344,6 +344,7 @@ def _feynman_kac(run):
              (g.time_start + 0.5 * (g.time_end - g.time_start), [0.25] * g.spatial_dim)]
     for s, _ in panel:
         _whole_steps(f"t1 - {s:g}", g.time_end - s, dt)
+        g.time_index(s)  # the check reads the solution at each panel time
     return lambda solution: sde_mod.feynman_kac_check(
         solution, run.problem.drift, run.source, panel, g.time_end, dt=dt,
         paths=max(paths // 4, 400), seed=run.seed + 1000).record()

@@ -59,6 +59,13 @@ class GridSpec:
     def times(self) -> np.ndarray:
         return np.linspace(self.time_start, self.time_end, self.nt)
 
+    def time_index(self, t: float) -> int:
+        """The slice at time t; ValueError unless t is within 1e-9 of a grid time."""
+        k = int(np.argmin(np.abs(self.times - t)))
+        if abs(self.times[k] - t) > 1e-9:
+            raise ValueError(f"time {t:g} is not a grid time (nearest {self.times[k]:g})")
+        return k
+
     @property
     def axis(self) -> np.ndarray:
         """Node coordinates along one spatial axis, centered at 0."""

@@ -161,12 +161,12 @@ def _start_array(config: EnsembleConfig) -> np.ndarray:
 class _Chain:
     """One Euler-Maruyama chain of ``simulate``: its state, running sums and stored columns.
 
-    A step runs on a slice of rows.  ``block`` None is the whole step on
-    the calling thread, through ``DriftField``'s methods and
-    ``step_normals``.  A block number marks a pool task: it draws that
-    block of the noise itself and calls only numpy and the drift's
-    kernel ``fn``, so a profiler keeping one span stack per thread sees
-    its work inside the ``simulate`` call that waits for it.
+    A step runs on a slice of rows, and its one drift call gives each
+    integrand f(t, X, b) its b.  ``block`` None is the whole step on the
+    calling thread, through ``DriftField``'s methods and ``step_normals``.
+    A block number marks a pool task: it draws its block of the noise and
+    calls only numpy and the kernel ``fn``, so a profiler keeping one span
+    stack per thread sees its work inside the ``simulate`` call that waits.
     """
 
     def __init__(self, config: EnsembleConfig, integrands: dict, divergence: bool):
@@ -199,8 +199,8 @@ class _Chain:
         out *= c.diffusion * np.sqrt(c.dt)
         return out
 
-    def drift_dt(self, t: float, x: np.ndarray, rows: slice, block: int | None) -> np.ndarray:
-        """b(t, x) * dt, a new array; with ``divergence``, div b * dt joins the "div" sum."""
+    def drift(self, t: float, x: np.ndarray, rows: slice, block: int | None) -> np.ndarray:
+        """b(t, x), the kernel's own array; with ``divergence``, div b * dt joins the "div" sum."""
         c, drift = self.config, self.config.drift
         if block is not None:
             b, div = drift.fn(t, x, self.divergence)
@@ -210,19 +210,19 @@ class _Chain:
             b = drift(t, x)
         if self.divergence:
             self.sums["div"][rows] += div * c.dt
-        return b * c.dt
+        return b
 
     def step(self, k: int, rows: slice, block: int | None, *increments: np.ndarray) -> bool:
-        """Step k on ``rows``: the drift at its left end, then each increment given
-        or else the step's own noise; False if a state is not finite."""
+        """Step k on ``rows``: the drift and the integrands at its left end, then each
+        increment given or else the step's own noise; False if a state is not finite."""
         c = self.config
         x = self.x[rows]
         t = c.start[0] + k * c.dt
+        b = self.drift(t, x, rows, block)
         for name, f in self.integrands.items():
-            self.sums[name][rows] += f(t, x) * c.dt
-        bdt = self.drift_dt(t, x, rows, block)
-        x += bdt
-        # a pool task draws its noise into b * dt's buffer, never into the drift's own array
+            self.sums[name][rows] += f(t, x, b) * c.dt
+        x += (bdt := b * c.dt)
+        # a pool task draws its noise into b * dt's buffer, never into the kernel's own array
         for dw in increments or (self.noise(k, rows, block, bdt),):
             x += dw
         finite = bool(np.isfinite(x).all())
@@ -274,29 +274,29 @@ def simulate(config: EnsembleConfig, integrands: dict | None = None,
     """March the ensemble; optionally accumulate path-time integrals.
 
     States are stored at the start, at every ``store_stride``-th step and
-    at the end.  ``integrands`` maps names to callables f(t, X) -> (paths,)
-    whose left-endpoint Riemann sums are stored at the same steps:
+    at the end.  ``integrands`` maps names to callables f(t, X, b) -> (paths,)
+    of the rows X and the read-only b the step's one drift call returned;
+    their left-endpoint Riemann sums are stored at the same steps:
     ``integrals[name]`` is (paths, len(times)), its first column zeros and
     its last the sum over the whole horizon.  Step k adds
     diffusion * sqrt(dt) * step_normals(seed, k).  With ``coupled`` the
     result's ``fine`` is the dt/2 chain on the same Brownian path, stored
     at the same times with the same integrals: it draws fine keys 0 to
     2K - 1 once each, and coarse step k adds fine increments 2k and 2k+1.
-    With ``divergence`` each step takes (b, div b) from one
-    ``drift.value_and_divergence`` call and the ensemble carries the
-    integral of div b as ``"div"``, a name no integrand may take.
+    With ``divergence`` that drift call is ``drift.value_and_divergence``
+    and the ensemble carries the integral of div b as ``"div"``, a name
+    no integrand may take.
 
-    An ensemble of more than ``BLOCK_ROWS`` paths is cut at
-    ``step_normals``' block edges, and each block is one task on the
-    thread pool that takes its rows through every step: integrands,
-    drift, update, its block of the noise and the finiteness check.
-    Such a task calls the drift's kernel ``fn`` directly, and the
-    integrands on its rows from a pool thread, so integrands and drifts
-    must act row by row.  The bits do not depend on the split or on the
-    number of threads.  A block stops at its first non-finite state and
-    the others once past that step; the error names the earliest such
-    step.  An exception raised in a block stops them all and is raised
-    here.
+    An ensemble of more than ``BLOCK_ROWS`` paths is cut at ``step_normals``'
+    block edges, and each block is one task on the thread pool that takes
+    its rows through every step: drift, integrands, update, its block of
+    the noise and the finiteness check.  Such a task calls the drift's
+    kernel ``fn`` directly, and the integrands on its rows and their b, so
+    integrands and drifts must act row by row.  The bits do not depend on
+    the split or on the number of threads.  A block stops at its first
+    non-finite state and the others once past that step; the error names
+    the earliest such step.  An exception raised in a block stops them all
+    and is raised here.
     """
     integrands = integrands or {}
     if "div" in integrands:
@@ -409,7 +409,7 @@ def krylov_verify(drift: DriftField, starts, f, deltas,
     for i, x in enumerate(starts):
         cfg = EnsembleConfig(drift, (0.0, x), deltas[-1], dt, paths, seed + i, store_stride=stride)
 
-        def fpos(t, X):
+        def fpos(t, X, b):
             vals = f(t, X)
             if np.any(vals < -1e-12):
                 raise ValueError("krylov_verify requires f >= 0")
@@ -446,7 +446,7 @@ def khasminskii_verify(drift: DriftField, start, f, lam: float,
     # only the final integral is read: store the end state alone
     cfg = EnsembleConfig(drift, (0.0, start), 1.0, dt, paths, seed,
                          store_stride=max(1, int(round(1.0 / dt))))
-    ens = simulate(cfg, integrands={"absf": lambda t, X: np.abs(f(t, X))})
+    ens = simulate(cfg, integrands={"absf": lambda t, X, b: np.abs(f(t, X))})
     expo = lam * ens.integrals["absf"][:, -1]
     if expo.max() > 700:
         q = float(np.quantile(expo, 0.999))
@@ -524,18 +524,20 @@ def feynman_kac_check(solution, drift: DriftField, f, panel, T: float,
     """u(s,x) against the Monte Carlo value of int_s^T f(t, X_t) dt.
 
     ``solution`` must solve the terminal-value problem for the same
-    (drift, f, T).  The discretization allowance C*(dt^{1/2} + h^2) uses
-    a constant fitted from the coupled dt and dt/2 chains at the first
-    panel point; the dt chain is also that point's Monte Carlo estimate.
+    (drift, f, T), and each panel time must be one of its grid times.
+    The discretization allowance C*(dt^{1/2} + h^2) uses a constant
+    fitted from the coupled dt and dt/2 chains at the first panel point;
+    the dt chain is also that point's Monte Carlo estimate.
     """
     grid = solution.u.grid
     if abs(grid.time_end - T) > 1e-9:
         raise ValueError("solution horizon does not match T")
+    slices = [grid.time_index(s) for s, _ in panel]
 
     def mc_run(s, x, seed_, coupled=False):
         cfg = EnsembleConfig(drift, (s, np.asarray(x, float)), T, dt, paths, seed_,
                              store_stride=max(1, int(round((T - s) / dt))))
-        return simulate(cfg, integrands={"f": f}, coupled=coupled)
+        return simulate(cfg, integrands={"f": lambda t, X, b: f(t, X)}, coupled=coupled)
 
     pair = mc_run(*panel[0], seed, coupled=True)
     v1, v2 = (batch_stats(ens.integrals["f"][:, -1])[0] for ens in (pair, pair.fine))
@@ -544,8 +546,7 @@ def feynman_kac_check(solution, drift: DriftField, f, panel, T: float,
 
     allowance = disc_constant * (np.sqrt(dt) + grid.h**2)
     worst, worst_se, rows = 0.0, 0.0, []
-    for i, (s, x) in enumerate(panel):
-        k = int(np.argmin(np.abs(grid.times - s)))
+    for i, ((s, x), k) in enumerate(zip(panel, slices)):
         pde = float(interp_space(grid, np.asarray(x, float), solution.u.values[k][None])[0])
         ens = pair if i == 0 else mc_run(s, x, seed + i)
         mc, se = batch_stats(ens.integrals["f"][:, -1])
@@ -576,7 +577,8 @@ def martingale_defect(drift: DriftField, start, probe: ProbeFunction, t0: float,
                       seed: int = 0) -> EstimateReport:
     """E[(M_{t1} - M_{t0}) G] for M_t = f(X_t) - f(X_s) - int L f(X_r) dr.
 
-    t0 is read at the first step time within dt/2 of it; G defaults to 1.
+    t0 is read at the first step time within dt/2 of it, which must come
+    before t1; G defaults to 1.
     The bias constant comes from the coupled dt/2 chain read at the same
     times: a first-order weak bias C dt makes the two defects differ by C dt/2.
     """
@@ -585,12 +587,14 @@ def martingale_defect(drift: DriftField, start, probe: ProbeFunction, t0: float,
     if t0 < s:
         raise ValueError("t0 must not precede the start time s")
 
-    def lf(t, X):
-        return probe.lap(X) + np.sum(drift(t, X) * probe.grad(X), axis=1)
+    def lf(t, X, b):
+        return probe.lap(X) + np.sum(b * probe.grad(X), axis=1)
 
     cfg = EnsembleConfig(drift, (s, start), t1, dt, paths, seed)
     K = cfg.n_steps
     k0 = next((k for k in range(K) if abs(s + k * dt - t0) < dt / 2), K)
+    if k0 == K:  # t0 would be read at t1, and the defect would be 0 on any probe
+        raise ValueError(f"no step before t1 = {t1:g} lies within dt/2 of t0 = {t0:g}")
     t = s + k0 * dt
     # stride k0 (K if k0 = 0) stores every multiple of k0 and the end, so
     # column min(k0, 1) is step k0 (fine step 2 k0)

@@ -348,6 +348,9 @@ VALUE_FAULTS = {
     "feynman-kac-forward": (lambda c: c["pde"].update(direction="forward"),
                             "verifiers[2] (feynman-kac): checks the terminal-value problem: "
                             "needs pde.direction 'backward', got 'forward'"),
+    # feynman-kac reads the solution at its mid-window panel time 0.25, not a time of 5 steps
+    "feynman-kac-off-pde-grid": (lambda c: c["grid"].update(steps=5),
+                                 "verifiers[2] (feynman-kac): time 0.25 is not a grid time"),
     "markov-off-grid": (lambda c: c["verifiers"].append({"name": "markov", "t1": 0.4025}),
                         "(markov): t1 - t0"),
     "krylov-off-grid": (lambda c: c["verifiers"].append({"name": "krylov",

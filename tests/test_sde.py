@@ -227,8 +227,19 @@ def test_feynman_kac_simulates_each_panel_point_once(monkeypatch):
     # the first row's estimate is the pair's dt chain
     cfg = EnsembleConfig(BROWNIAN, (0.0, np.array([0.5, 0.0])), 0.5, 0.005, 400, 16,
                          store_stride=100)
-    pair = real(cfg, integrands={"f": source}, coupled=True)
+    pair = real(cfg, integrands={"f": lambda t, X, b: source(t, X)}, coupled=True)
     assert rep.meta["panel"][0]["mc"] == batch_stats(pair.integrals["f"][:, -1])[0]
+
+
+def test_feynman_kac_rejects_a_panel_time_off_the_solution_grid(monkeypatch):
+    # 5 steps on [0, 0.5]: s = 0.25 falls between the slices at 0.2 and 0.3
+    g = GridSpec(2, 8.0, 32, 0.0, 0.5, 5)
+    f = SpaceTimeField.from_function(g, lambda t, x, y: np.cos(x))
+    sol = solve(PDEProblem(BROWNIAN, f, g, direction="backward"))
+    monkeypatch.setattr(sde, "simulate", lambda *a, **k: pytest.fail("simulated"))
+    with pytest.raises(ValueError, match="time 0.25 is not a grid time"):
+        feynman_kac_check(sol, BROWNIAN, lambda t, X: np.cos(X[:, 0]),
+                          [(0.0, [0.5, 0.0]), (0.25, [1.0, 0.0])], 0.5, dt=0.005, paths=400)
 
 
 def test_feynman_kac_fourier_mode_oracle():
@@ -280,6 +291,27 @@ def test_martingale_rejects_bad_window():
     # a window opening before the start would compare M_s with itself: defect 0, se 0
     with pytest.raises(ValueError, match="t0"):
         martingale_defect(OU1, [0.0], probe, -0.5, 0.1, s=0.0, dt=0.01, paths=200, seed=20)
+
+
+def test_martingale_rejects_t0_with_no_step_before_t1():
+    # Lf with half the Laplacian: the defect tells it from the generator...
+    halved = ProbeFunction(_BUMP.f, _BUMP.grad, lambda X: 0.5 * _BUMP.lap(X))
+    drift = radial_drift(0.5, 2, 0.1)
+    rep = martingale_defect(drift, [0.5, 0.0], halved, 0.1, 0.4, dt=0.005, paths=2000, seed=1100)
+    assert not rep.passed and rep.lhs < -10 * rep.se
+    # ...unless t0 is read at t1: the last step before t1 = 0.4 is 0.395, 0.003 from t0
+    with pytest.raises(ValueError, match="t0 = 0.398"):
+        martingale_defect(drift, [0.5, 0.0], halved, 0.398, 0.4, dt=0.005, paths=2000,
+                          seed=1100)
+
+
+def test_martingale_defect_one_kernel_call_per_step():
+    # criterion 11's radial case: K = 80 coarse and 160 fine steps, and Lf reads each step's b
+    drift = radial_drift(0.5, 2, 0.1)
+    kernel, calls = drift.fn, []
+    drift.fn = lambda t, X, div: calls.append(t) or kernel(t, X, div)
+    martingale_defect(drift, [0.5, 0.0], _BUMP, 0.1, 0.4, dt=0.005, paths=8000, seed=1100)
+    assert len(calls) == 3 * 80
 
 
 def test_density_gaussian_ks():
@@ -473,6 +505,7 @@ def _coupled_reference(config, integrands):
 
     Fine step j takes dt/2 and adds diffusion * sqrt(dt/2) * step_normals(seed, j);
     coarse step k takes dt and adds fine increments 2k and 2k+1, one after the other.
+    Each step's integrands read the b of that step.
     """
     s, _ = config.start
     d, dt, h = config.drift.dim, config.dt, config.dt / 2
@@ -486,14 +519,16 @@ def _coupled_reference(config, integrands):
              for j in (2 * k, 2 * k + 1)]
         for j in (2 * k, 2 * k + 1):
             t = s + j * h
+            b = config.drift(t, xf)
             for name, f in integrands.items():
-                fsums[name].append(fsums[name][-1] + f(t, xf) * h)
-            xf = xf + config.drift(t, xf) * h + w[j - 2 * k]
+                fsums[name].append(fsums[name][-1] + f(t, xf, b) * h)
+            xf = xf + b * h + w[j - 2 * k]
             fine.append(xf)
         t = s + k * dt
+        b = config.drift(t, xc)
         for name, f in integrands.items():
-            csums[name].append(csums[name][-1] + f(t, xc) * dt)
-        xc = xc + config.drift(t, xc) * dt + w[0] + w[1]
+            csums[name].append(csums[name][-1] + f(t, xc, b) * dt)
+        xc = xc + b * dt + w[0] + w[1]
         coarse.append(xc)
     stack = lambda cols: np.stack(cols, axis=1)
     return (stack(coarse), stack(fine),
@@ -503,7 +538,7 @@ def _coupled_reference(config, integrands):
 
 def _martingale_reference(drift, start, probe, t0, t1, G, dt, paths, seed):
     """martingale_defect's (defect, se) at dt and at dt/2, read off the reference pair."""
-    lf = lambda t, X: probe.lap(X) + np.sum(drift(t, X) * probe.grad(X), axis=1)
+    lf = lambda t, X, b: probe.lap(X) + np.sum(b * probe.grad(X), axis=1)
     cfg = EnsembleConfig(drift, (0.0, start), t1, dt, paths, seed)
     coarse, fine, csums, fsums = _coupled_reference(cfg, {"Lf": lf})
     K = cfg.n_steps
@@ -557,7 +592,7 @@ def test_martingale_constant_exact_without_drift():
 ])
 def test_coupled_simulate_matches_reference_loop(drift, start, horizon, dt):
     cfg = EnsembleConfig(drift, (0.0, start), horizon, dt, 300, 33)
-    integrands = {"g": lambda t, X: np.cos(X[:, 0]) + t}
+    integrands = {"g": lambda t, X, b: np.cos(X[:, 0]) + t + b[:, 0]}
     pair = simulate(cfg, integrands=integrands, coupled=True)
     coarse, fine, csums, fsums = _coupled_reference(cfg, integrands)
     # store_stride 1: every coarse step, so every other fine step
@@ -573,7 +608,7 @@ def test_coupled_fine_chain_is_the_half_step_run(stride):
     # horizon 0.3 is 7.5 steps of 0.04: both chains run K = 8 steps of the coarse grid
     cfg = EnsembleConfig(radial_drift(0.5, 2, 0.1), (0.0, [0.5, 0.0]), 0.3, 0.04, 300, 34,
                          store_stride=stride)
-    integrands = {"g": lambda t, X: np.cos(X[:, 0]) + t}
+    integrands = {"g": lambda t, X, b: np.cos(X[:, 0]) + t + b[:, 0]}
     pair = simulate(cfg, integrands=integrands, coupled=True, divergence=True)
     half = simulate(replace(cfg, dt=cfg.dt / 2, horizon=cfg.n_steps * cfg.dt,
                             store_stride=2 * stride), integrands=integrands, divergence=True)
@@ -601,7 +636,7 @@ def test_coupled_run_draws_each_fine_key_once(monkeypatch):
 def test_simulate_stores_integrals_with_states():
     # 10 steps at stride 4: the start, steps 4 and 8, and the end
     cfg = EnsembleConfig(OU1, (0.0, [1.0]), 0.1, 0.01, 200, 32, store_stride=4)
-    ens = simulate(cfg, integrands={"one": lambda t, X: np.ones(len(X))})
+    ens = simulate(cfg, integrands={"one": lambda t, X, b: np.ones(len(X))})
     np.testing.assert_allclose(ens.times, [0.0, 0.04, 0.08, 0.1], rtol=1e-12)
     sums = ens.integrals["one"]
     assert sums.shape == (200, len(ens.times))
@@ -764,18 +799,19 @@ def _serial_reference(config, integrands, divergence):
     sums = {name: [np.zeros(config.paths)] for name in names}
     for k in range(config.n_steps):
         t = s + k * dt
+        b = config.drift(t, x)
         for name, f in integrands.items():
-            sums[name].append(sums[name][-1] + f(t, x) * dt)
+            sums[name].append(sums[name][-1] + f(t, x, b) * dt)
         if divergence:
             sums["div"].append(sums["div"][-1] + config.drift.divergence(t, x) * dt)
         z = step_normals(config.seed, k, config.paths, d)
-        x = x + config.drift(t, x) * dt + z * (config.diffusion * np.sqrt(dt))
+        x = x + b * dt + z * (config.diffusion * np.sqrt(dt))
         states.append(x)
     return (np.stack(states, axis=1),
             {name: np.stack(cols, axis=1) for name, cols in sums.items()})
 
 
-_COS = {"g": lambda t, X: np.cos(X[:, 0]) + t}
+_COS = {"g": lambda t, X, b: np.cos(X[:, 0]) + t + b[:, 0]}
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -836,6 +872,8 @@ def test_block_step_enters_no_traced_layer_on_a_pool_thread(monkeypatch, noise_p
         cfg = EnsembleConfig(drift, (0.0, [0.5, 0.0]), 0.05, 0.01, 1003, 43)
         simulate(cfg, divergence=divergence)
         simulate(cfg, coupled=True, divergence=divergence)
+        # a verifier's integrand on the rows of a pool task: Lf reads the task's own b
+        martingale_defect(drift, [0.5, 0.0], _BUMP, 0.02, 0.05, dt=0.01, paths=1003, seed=43)
     assert set(threads) <= {threading.get_ident()}
 
 
@@ -851,7 +889,7 @@ def test_block_step_interrupted_caller_stops_the_blocks(monkeypatch, noise_pool)
         marching.wait(10)
         raise Interrupted
 
-    def count(t, X):
+    def count(t, X, b):
         calls.append(t)
         marching.set()
         return np.zeros(len(X))
@@ -898,7 +936,7 @@ def test_block_step_failure_stops_the_other_blocks(monkeypatch, noise_pool, fail
     noise_pool(2)
     calls = []
 
-    def count(t, X):
+    def count(t, X, b):
         calls.append(t)
         if failure == "raises" and np.any(X[:, 0] > 50):
             raise ValueError("integrand failed")
@@ -919,7 +957,7 @@ def test_block_step_failure_stops_the_other_blocks(monkeypatch, noise_pool, fail
     (10, [0, 7]),  # a stride past the horizon stores the start and the end
     (1, list(range(8))),
 ])
-@pytest.mark.parametrize("integrands", [{}, {"one": lambda t, X: np.ones(len(X))}])
+@pytest.mark.parametrize("integrands", [{}, {"one": lambda t, X, b: np.ones(len(X))}])
 def test_block_step_stored_columns_keep_their_layout(monkeypatch, noise_pool, paths, stride,
                                                      stored, integrands):
     monkeypatch.setattr(sde, "BLOCK_ROWS", 128)
