@@ -26,6 +26,19 @@ from sdlab.norms import (
 )
 
 
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b over the last axis, summed coordinate by coordinate.
+
+    The order is np.sum's, so the bits are the same for fewer than 8
+    coordinates (from 8 on np.sum splits the axis into eight partial
+    sums); a reduction over the short last axis is several times slower.
+    """
+    out = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        out += a[..., i] * b[..., i]
+    return out
+
+
 @dataclass
 class DriftField:
     """An evaluable vector field and its divergence, from one kernel.
@@ -86,7 +99,7 @@ class DriftField:
             if fallback is not None:
                 fb, fdiv = fallback.value_and_divergence(t, X)
                 b, div = np.where(near[..., None], fb, b), np.where(near, fdiv, div)
-            speed.append(np.linalg.norm(b, axis=-1).reshape(shape))
+            speed.append(np.sqrt(row_dot(b, b)).reshape(shape))
             div_neg.append(np.maximum(-div, 0.0).reshape(shape))
         return tuple(SpaceTimeField(grid, np.broadcast_to(np.stack(s), (grid.nt, *shape)), 1)
                      for s in (speed, div_neg))
@@ -108,17 +121,8 @@ def radial_drift(c: float, d: int, eps: float = 0.0) -> DriftField:
 
     e2 = eps * eps
 
-    def sq_norm(X):
-        # |x|^2 summed coordinate by coordinate, in np.sum's order, so the same
-        # bits for d < 8 (from 8 on np.sum splits the axis into eight partial
-        # sums); a reduction over the short last axis is several times slower
-        u = X[..., 0] * X[..., 0]
-        for i in range(1, d):
-            u += X[..., i] * X[..., i]
-        return u
-
     def fn(t, X, div):
-        u = sq_norm(X)
+        u = row_dot(X, X)
         if e2 > 0:
             v = u + e2
             return -c * X / v[..., None], (-c * ((d - 2) * u + d * e2) / v**2 if div else None)

@@ -155,10 +155,12 @@ def spatial_gradient(f: SpaceTimeField, energy: bool = False) -> np.ndarray:
 def _lp_space(values: np.ndarray, p: float, cell_volume: float) -> np.ndarray:
     """L^p norm over the trailing spatial axes, for each time slice.
 
-    A slice with no nodes (an empty window) has norm 0.
+    A slice with no nodes (an empty window) has norm 0.  Each slice is
+    summed as one contiguous row, so the bits do not depend on the layout
+    of ``values``: a copy of a frozen sample has its time axis fastest.
     """
     nt = values.shape[0]
-    flat = np.abs(values).reshape(nt, -1)
+    flat = np.abs(values, order="C").reshape(nt, -1)
     if np.isinf(p):
         return flat.max(axis=1, initial=0.0)
     return (np.sum(flat**p, axis=1) * cell_volume) ** (1.0 / p)
@@ -217,32 +219,48 @@ class CutoffFamily:
     def profile_space(self, dist):
         return smooth_transition(np.asarray(dist) / self.radius, 1.0, 2.0)
 
-    def window(self, grid: GridSpec, z):
-        """xi_r(x - z) on the nodes where it can be nonzero: (index, values).
+    def windows(self, grid: GridSpec, zs) -> list:
+        """xi_r(x - z) on the nodes where it can be nonzero, for each z of zs.
 
-        xi vanishes once |x_i - z_i| >= 2r on any axis, so the window is
+        xi vanishes once |x_i - z_i| >= 2r on any axis, so z's window is
         the product of each axis's nodes within 2r of z_i.  Displacement
         is taken minimum-image, so a support must not wrap onto itself
         (requires L >= 8r, enforced by the caller's grid choice); a window
-        at the box edge wraps to the other side.  ``index`` picks
-        the window out of the trailing spatial axes: basic slices, a
-        view, when every axis's nodes are one run, else ``np.ix_``.
+        at the box edge wraps to the other side.  xi depends on z only
+        through each axis's displacements to its window's nodes, so the
+        centers that agree in all of them share one xi, built once.
+
+        Returns (members, flat, xi) per group of centers that share an xi:
+        ``members`` are their positions in zs, and row j of ``flat`` holds
+        member j's window nodes as flat indices into the spatial axes, in
+        the C order of xi.
         """
         axis = grid.axis
-        disps = [grid.wrap(axis - zi) for zi in np.ravel(z)]
-        nodes = [np.flatnonzero(np.abs(d) < 2 * self.radius) for d in disps]
-        dist = np.sqrt(sum(m**2 for m in np.ix_(*[d[n] for d, n in zip(disps, nodes)])))
-        if all(n.size and n[-1] - n[0] + 1 == n.size for n in nodes):
-            index = tuple(slice(n[0], n[-1] + 1) for n in nodes)
-        else:
-            index = np.ix_(*nodes)
-        return index, self.profile_space(dist)
+        along, groups = {}, {}
+        for j, z in enumerate(zs):
+            for zi in np.ravel(z):
+                if zi not in along:  # each distinct coordinate once
+                    d = grid.wrap(axis - zi)
+                    n = np.flatnonzero(np.abs(d) < 2 * self.radius)
+                    along[zi] = n, d[n]
+            nodes, near = zip(*(along[zi] for zi in np.ravel(z)))
+            key = tuple(v.tobytes() for v in near)
+            if key not in groups:
+                dist = np.sqrt(sum(m**2 for m in np.ix_(*near)))
+                groups[key] = [], [], self.profile_space(dist)
+            members, flat, _ = groups[key]
+            members.append(j)
+            index = nodes[0]
+            for n in nodes[1:]:
+                index = np.add.outer(index * grid.points_per_axis, n)
+            flat.append(index.ravel())
+        return [(members, np.stack(flat), xi) for members, flat, xi in groups.values()]
 
     def spatial(self, grid: GridSpec, z) -> np.ndarray:
         """The spatial factor xi_r(x - z) on the grid nodes, shape (N, ..., N)."""
-        index, xi = self.window(grid, z)
+        ((_, flat, xi),) = self.windows(grid, [z])
         out = np.zeros(grid.spatial_shape())
-        out[index] = xi
+        out.reshape(-1)[flat[0]] = xi.ravel()
         return out
 
     def evaluate(self, grid: GridSpec, center: tuple) -> np.ndarray:
@@ -276,8 +294,11 @@ def localized_norm(f: SpaceTimeField, spec: NormSpec, cutoffs: CutoffFamily | No
     refines.  Since chi = tau(t - s) xi(x - z) with tau >= 0 and the
     Bessel potential acts slice by slice, the slice norms of f * chi are
     tau(t - s) times those of f * xi: they are computed once per distinct
-    spatial center, with alpha = 0 on xi's window only, and the L^q in
-    time runs over all time centers of that spatial center at once.
+    spatial center, and the L^q in time runs over all time centers at
+    once.  With alpha = 0 only xi's window is read, the centers that
+    share an xi are gathered in one index, and a frozen field (a time
+    axis of stride 0, as ``DriftField.sample`` returns) is read at one
+    slice, whose norms stand for every time.
     """
     if not f.is_scalar:
         raise ValueError("localized_norm expects a scalar field")
@@ -288,21 +309,36 @@ def localized_norm(f: SpaceTimeField, spec: NormSpec, cutoffs: CutoffFamily | No
     if not centers:
         raise ValueError("cutoff family has an empty center lattice")
     times = g.times
-    times_at = {}
+    row_of = {s: i for i, s in enumerate({c[0] for c in centers})}
+    profiles = np.stack([cutoffs.profile_time(times - s) for s in row_of])
+    rows_at = {}  # spatial center -> the profile rows of its time centers
     for s, z in centers:
-        times_at.setdefault(tuple(np.ravel(z)), []).append(s)
-    profiles = {s: cutoffs.profile_time(times - s) for s in {c[0] for c in centers}}
-    best = -np.inf
-    for z, ss in times_at.items():
-        if spec.alpha == 0.0:
-            index, xi = cutoffs.window(g, z)
-            local = f.values[(slice(None),) + index] * xi
-        else:
-            local = bessel_apply(f.copy_with(f.values * cutoffs.spatial(g, z)), spec.alpha).values
-        per_slice = _lp_space(local, spec.p, g.cell_volume)
-        taus = np.stack([profiles[s] for s in ss])
-        best = max(best, _lq_time(taus * per_slice, spec.q, times))
-    return best
+        rows_at.setdefault(tuple(np.ravel(z)), []).append(row_of[s])
+    zs, time_rows = list(rows_at), list(rows_at.values())
+    if spec.alpha == 0.0:
+        values = f.values[:1] if f.values.strides[0] == 0 else f.values
+        values = values.reshape(len(values), -1)
+        groups = ((members, np.take(values, flat, axis=1) * xi.ravel())
+                  for members, flat, xi in cutoffs.windows(g, zs))
+    else:
+        groups = (([j], bessel_apply(f.copy_with(f.values * cutoffs.spatial(g, z)),
+                                     spec.alpha).values.reshape(g.nt, 1, -1))
+                  for j, z in enumerate(zs))
+    # tau(t - s) |f xi|_p(t) for every center, in blocks of one spatial center
+    blocks = []
+    for members, local in groups:  # local: (slices, members, window nodes)
+        nt, k = local.shape[:2]
+        per_slice = _lp_space(local.reshape(nt * k, -1), spec.p, g.cell_volume)
+        for j, norms in zip(members, per_slice.reshape(nt, k).T):
+            blocks.append(profiles[time_rows[j]] * norms)
+    rows = np.concatenate(blocks)
+    if np.isinf(spec.q):
+        return float(rows.max())
+    # as _lq_time takes it, the root of each spatial center's largest integral:
+    # a scalar pow, whose bits an array pow need not match
+    offsets = np.cumsum([0] + [len(b) for b in blocks[:-1]])
+    peaks = np.maximum.reduceat(np.trapezoid(rows**spec.q, times, axis=-1), offsets)
+    return max(float(v ** (1.0 / spec.q)) for v in peaks)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import ndtr
 
-from sdlab.drifts import DriftField
+from sdlab.drifts import DriftField, row_dot
 from sdlab.grids import interp_space
 
 SQRT2 = np.sqrt(2.0)
@@ -588,7 +588,7 @@ def martingale_defect(drift: DriftField, start, probe: ProbeFunction, t0: float,
         raise ValueError("t0 must not precede the start time s")
 
     def lf(t, X, b):
-        return probe.lap(X) + np.sum(b * probe.grad(X), axis=1)
+        return probe.lap(X) + row_dot(b, probe.grad(X))
 
     cfg = EnsembleConfig(drift, (s, start), t1, dt, paths, seed)
     K = cfg.n_steps

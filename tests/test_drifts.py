@@ -11,6 +11,7 @@ from sdlab.drifts import (
     linear_drift,
     load_external,
     radial_drift,
+    row_dot,
     zero_drift,
 )
 from sdlab.grids import GridSpec, SpaceTimeField, write_field
@@ -42,6 +43,16 @@ def test_radial_drift_bits_match_np_sum(d, eps):
             ev, dv = -c * X / u[..., None], -c * (d - 2) / u
         assert np.array_equal(b(0.0, X), ev)
         assert np.array_equal(b.divergence(0.0, X), dv)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_row_dot_bits_match_np_sum(d):
+    # |b| in DriftField.sample and b . grad f in martingale_defect keep np.sum's bits
+    rng = np.random.default_rng(d)
+    for shape in ((100_000, d), (7, 5, d)):
+        a, b = rng.standard_normal(shape), 3.0 * rng.standard_normal(shape)
+        assert np.array_equal(row_dot(a, b), np.sum(a * b, axis=-1))
+        assert np.array_equal(np.sqrt(row_dot(a, a)), np.linalg.norm(a, axis=-1))
 
 
 def test_frozen_drift_sampled_once():

@@ -6,6 +6,8 @@ import pytest
 import scipy.integrate
 import scipy.special
 
+from sdlab import norms
+from sdlab.drifts import DriftField, check_admissibility, lattice_drift, radial_drift
 from sdlab.grids import GridSpec, SpaceTimeField
 from sdlab.norms import (
     CutoffFamily,
@@ -321,16 +323,84 @@ def test_localized_norm_matches_direct_loop(alpha, q):
 def test_cutoff_window_is_the_support():
     g = GridSpec(2, 8.0, 16, 0.0, 1.0, 2)
     fam = CutoffFamily(1.0)
-    for z in _spatial_centers(g):
-        index, xi = fam.window(g, z)
-        full = _full_grid_xi(fam, g, z)
-        assert np.array_equal(full[index], xi)
-        assert np.array_equal(fam.spatial(g, z), full)
-        outside = np.ones(g.spatial_shape(), bool)
-        outside[index] = False
-        assert np.all(full[outside] == 0.0)
-    # a window away from the box edge is a view: basic slices
-    assert all(isinstance(i, slice) for i in fam.window(g, np.zeros(2))[0])
+    lattice = list(dict.fromkeys(tuple(z) for _, z in fam.lattice_centers(g)))
+    # the 256 lattice centers all sit a quarter cell off the nodes, and a window's
+    # displacements run in node order: per axis, 7 windows that wrap and 1 that does not
+    assert len(lattice) == 256 and len(fam.windows(g, lattice)) == 8 * 8
+    zs = _spatial_centers(g) + lattice
+    groups = fam.windows(g, zs)
+    assert sorted(j for members, _, _ in groups for j in members) == list(range(len(zs)))
+    for members, flat, xi in groups:
+        for j, index in zip(members, flat):
+            full = _full_grid_xi(fam, g, zs[j])
+            assert np.array_equal(full.reshape(-1)[index], xi.ravel())
+            outside = np.ones(full.size, bool)
+            outside[index] = False
+            assert np.all(full.reshape(-1)[outside] == 0.0)
+            assert np.array_equal(fam.spatial(g, zs[j]), full)
+
+
+# sha256 of localized_norm, as float64 bytes, on the benchmark analysis
+# ladder's seeded fields (seeds 1-3, the default lattice of 1728 centers), then
+# of check_admissibility's four norms for radial_drift(0.5, 3, 0.2) on N = 32
+# refined to 64, which reads frozen samples.  A change to this digest is a
+# change to a localized norm's bits.
+LOCALIZED_NORM_GOLDEN = "5f92958d605397a7ce740a50b1f260e19c221f410db126e8c729af8f415a7df4"
+
+
+def test_localized_norm_golden_digest():
+    h = hashlib.sha256()
+    g = GridSpec(2, 12.0, 32, 0.0, 1.0, 6)
+    for seed in (1, 2, 3):
+        f = SpaceTimeField(g, np.random.default_rng(seed).standard_normal((g.nt, 32, 32)), 1)
+        h.update(np.float64(localized_norm(f, NormSpec(0.0, 3.0, 4.0, 1.0))).tobytes())
+    adm = check_admissibility(radial_drift(0.5, 3, 0.2), 2.5, 12.0, 1.8, 12.0,
+                              GridSpec(3, 4.0, 32, 0.0, 0.5, 2))
+    for v in (adm.drift_norm, adm.div_norm, adm.drift_norm_refined, adm.div_norm_refined):
+        h.update(np.float64(v).tobytes())
+    assert h.hexdigest() == LOCALIZED_NORM_GOLDEN
+
+
+@pytest.mark.parametrize("p, q", [(3.0, 4.0), (np.inf, 4.0), (3.0, np.inf), (np.inf, np.inf)])
+def test_localized_norm_of_a_frozen_sample_equals_its_copy(p, q):
+    # a frozen drift's samples repeat one slice through a zero time stride
+    g = GridSpec(2, 8.0, 16, 0.0, 3.0, 6)
+    spec = NormSpec(0.0, p, q, 1.0)
+    fams = [None, CutoffFamily(1.0, [(0.5, np.zeros(2)), (2.0, np.zeros(2)),
+                                     (1.0, np.array([1.0, -2.0]))])]
+    for b in (radial_drift(0.5, 2, 0.2), lattice_drift(1.0, 1.5, 2, seed=3, eps=0.2)):
+        for view in b.sample(g):
+            assert view.values.strides[0] == 0
+            # np.array keeps the zero stride's axis fastest: a layout unlike the view's
+            copy = view.copy_with(np.array(view.values))
+            for fam in fams:
+                assert localized_norm(view, spec, fam) == localized_norm(copy, spec, fam)
+            assert mixed_norm(view, p, q) == mixed_norm(copy, p, q)
+
+
+def _spinning(t, X, div):
+    # b = (1 + t) (-x_2, x_1) + (sin x_1, 0): |b| grows with t
+    b = np.stack([-(1.0 + t) * X[..., 1] + np.sin(X[..., 0]), (1.0 + t) * X[..., 0]], axis=-1)
+    return b, (np.cos(X[..., 0]) if div else None)
+
+
+@pytest.mark.parametrize("time_dependent", [False, True])
+def test_localized_norm_reads_a_frozen_sample_at_one_slice(monkeypatch, time_dependent):
+    g = GridSpec(2, 8.0, 16, 0.0, 3.0, 6)
+    speed = DriftField(2, _spinning, 1.0, time_dependent=time_dependent).sample(g)[0]
+    assert (speed.values.strides[0] == 0) is not time_dependent
+    fam = CutoffFamily(1.0, [(s, z) for s in (0.5, 2.0) for z in _spatial_centers(g)])
+    spec = NormSpec(0.0, 3.0, 4.0, 1.0)
+    rows = []
+    lp_space = norms._lp_space
+    monkeypatch.setattr(norms, "_lp_space", lambda v, p, cv: rows.append(len(v)) or lp_space(v, p, cv))
+    got = localized_norm(speed, spec, fam)
+    # one row per spatial center and slice read: every slice of a time-dependent field
+    assert sum(rows) == len(_spatial_centers(g)) * (g.nt if time_dependent else 1)
+    assert got == pytest.approx(_localized_norm_loop(speed, spec, fam), rel=1e-12)
+    if time_dependent:
+        first = speed.copy_with(np.broadcast_to(speed.values[:1], speed.values.shape))
+        assert localized_norm(first, spec, fam) < got
 
 
 def test_mollifier_kernel_mass_and_support():
