@@ -372,18 +372,6 @@ def _khasminskii(run, *, lambda_: float = 1.0):
                                                 dt=dt, paths=1000, seed=run.seed + 3000).record()
 
 
-def _markov(run, *, t0: float = 0.2, t1: float = 0.4):
-    e = run.ensemble
-    s, start = e.start
-    if not s <= t0 < t1:
-        raise ValueError(f"needs s <= t0 < t1, got s = {s:g}, t0 = {t0:g}, t1 = {t1:g}")
-    _whole_steps("t0 - s", t0 - s, e.dt)
-    _whole_steps("t1 - t0", t1 - t0, e.dt)
-    return lambda _: sde_mod.markov_check(run.problem.drift, start, t0, t1,
-                                          lambda X: np.cos(X[:, 0]), s=s, dt=e.dt, paths=e.paths,
-                                          seed=run.seed + 4000).record()
-
-
 def _zero_drift_only(check):
     """The builder of a check of the b = 0 law, Brownian motion with covariance 2t."""
     def build(run):
@@ -402,7 +390,6 @@ VERIFIERS = {
     "stability": (lambda run: _stability, "sweep"),
     "krylov": (_krylov, None),
     "khasminskii": (_khasminskii, None),
-    "markov": (_markov, "ensemble"),
 }
 
 

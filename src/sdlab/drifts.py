@@ -15,11 +15,11 @@ from typing import Callable
 
 import numpy as np
 
-from sdlab.grids import GridSpec, SpaceTimeField, interp_space, read_field
+from sdlab.grids import GridSpec, SpaceTimeField, interp_space, read_field, slabs
 from sdlab.norms import (
     CutoffFamily,
     NormSpec,
-    localized_norm,
+    localized_norms,
     smooth_transition,
     smooth_transition_with_deriv,
     spatial_gradient,
@@ -83,26 +83,35 @@ class DriftField:
 
         Nodes within h/2 of the singular set are evaluated at
         mollification level h so the samples stay finite while keeping
-        the supercritical profile at resolvable scales.
+        the supercritical profile at resolvable scales.  The kernel runs
+        on first-axis slabs of at most ``grids.SLAB_NODES`` nodes and
+        writes into the two outputs, so no other array is grid-sized; it
+        acts row by row, so the bits do not depend on the slabs.
         """
-        X = grid.nodes()
         shape = grid.spatial_shape()
-        near = None
-        if self.singular_distance is not None and self.mollification_level == 0.0:
-            near = self.singular_distance(X) < grid.h / 2
-        fallback = self.mollified(grid.h) if near is not None and near.any() else None
-        speed, div_neg = [], []
         # a frozen field is sampled once, at the first time, and repeated as a view
-        for t in grid.times if self.time_dependent else grid.times[:1]:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                b, div = self.value_and_divergence(t, X)
-            if fallback is not None:
-                fb, fdiv = fallback.value_and_divergence(t, X)
-                b, div = np.where(near[..., None], fb, b), np.where(near, fdiv, div)
-            speed.append(np.sqrt(row_dot(b, b)).reshape(shape))
-            div_neg.append(np.maximum(-div, 0.0).reshape(shape))
-        return tuple(SpaceTimeField(grid, np.broadcast_to(np.stack(s), (grid.nt, *shape)), 1)
-                     for s in (speed, div_neg))
+        times = grid.times if self.time_dependent else grid.times[:1]
+        speed, div_neg = np.empty((len(times), *shape)), np.empty((len(times), *shape))
+        fallback = None
+        for rows in slabs(shape):
+            X = grid.nodes(rows)
+            near = None
+            if self.singular_distance is not None and self.mollification_level == 0.0:
+                near = self.singular_distance(X) < grid.h / 2
+                if near.any():
+                    fallback = fallback or self.mollified(grid.h)
+                else:
+                    near = None
+            for k, t in enumerate(times):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    b, div = self.value_and_divergence(t, X)
+                if near is not None:
+                    fb, fdiv = fallback.value_and_divergence(t, X)
+                    b, div = np.where(near[..., None], fb, b), np.where(near, fdiv, div)
+                np.sqrt(row_dot(b, b), out=speed[k, rows].reshape(-1))
+                np.maximum(-div, 0.0, out=div_neg[k, rows].reshape(-1))
+        return tuple(SpaceTimeField(grid, np.broadcast_to(v, (grid.nt, *shape)), 1)
+                     for v in (speed, div_neg))
 
 
 # ---------------------------------------------------------------------------
@@ -391,13 +400,10 @@ def check_admissibility(
     centers = [(mid, np.zeros(grid.spatial_dim)), (mid, np.full(grid.spatial_dim, 0.5))]
     fam = CutoffFamily(radius=1.0, centers=centers)
 
-    def localized(g):
-        speed, div_neg = b.sample(g)
-        return (localized_norm(speed, NormSpec(0.0, p1, q1, 1.0), fam),
-                localized_norm(div_neg, NormSpec(0.0, p2, q2, 1.0), fam))
-
-    bn, dn = localized(grid)
-    bn2, dn2 = localized(fine)
+    specs = [NormSpec(0.0, p1, q1, 1.0), NormSpec(0.0, p2, q2, 1.0)]
+    # |b| and (div b)^- are read in each cutoff window, built once per grid
+    bn, dn = localized_norms(b.sample(grid), specs, fam)
+    bn2, dn2 = localized_norms(b.sample(fine), specs, fam)
 
     def stable(v, v2):
         if v2 == 0.0:

@@ -8,6 +8,7 @@ leading component axis after time: (nt, c, N, ..., N).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -15,6 +16,19 @@ import numpy as np
 
 SDLF_MAGIC = b"SDLF"
 SDLF_VERSION = 1
+
+# nodes per slab, at most, when a grid-sized array is built in first-axis
+# slabs: as many as the rows of a noise block (sde.BLOCK_ROWS)
+SLAB_NODES = 2**15
+
+
+def slabs(shape) -> list[slice]:
+    """Runs of whole first-axis planes of ``shape``, each of at most SLAB_NODES nodes.
+
+    A plane larger than SLAB_NODES is a slab of its own.
+    """
+    step = max(1, SLAB_NODES // max(1, math.prod(shape[1:])))
+    return [slice(i, min(i + step, shape[0])) for i in range(0, shape[0], step)]
 
 
 @dataclass(frozen=True)
@@ -75,9 +89,11 @@ class GridSpec:
     def meshgrid(self) -> list[np.ndarray]:
         return list(np.meshgrid(*([self.axis] * self.spatial_dim), indexing="ij"))
 
-    def nodes(self) -> np.ndarray:
-        """All spatial nodes, shape (N^d, d)."""
-        mesh = self.meshgrid()
+    def nodes(self, rows: slice = slice(None)) -> np.ndarray:
+        """Spatial nodes in C order, shape (n, d): all N^d, or a slab of first-axis rows."""
+        axes = [self.axis] * self.spatial_dim
+        axes[0] = axes[0][rows]
+        mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
     def wavenumbers(self) -> list[np.ndarray]:
@@ -121,7 +137,9 @@ class SpaceTimeField:
             raise ValueError(
                 f"values shape {self.values.shape} does not match grid {expected}"
             )
-        if not np.all(np.isfinite(self.values)):
+        # a time axis of stride 0 repeats one slice: check that slice alone
+        one = self.values[:1] if self.values.strides[0] == 0 else self.values
+        if not np.all(np.isfinite(one)):
             raise ValueError("field values must be finite")
 
     @property

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sdlab.grids import GridSpec, SpaceTimeField
+from sdlab.grids import GridSpec, SpaceTimeField, slabs
 
 # ---------------------------------------------------------------------------
 # Smooth transition profile
@@ -159,11 +159,15 @@ def _lp_space(values: np.ndarray, p: float, cell_volume: float) -> np.ndarray:
     summed as one contiguous row, so the bits do not depend on the layout
     of ``values``: a copy of a frozen sample has its time axis fastest.
     """
-    nt = values.shape[0]
-    flat = np.abs(values, order="C").reshape(nt, -1)
+    return _lp_rows(np.abs(values, order="C").reshape(len(values), -1), p, cell_volume)
+
+
+def _lp_rows(rows: np.ndarray, p: float, cell_volume: float) -> np.ndarray:
+    """``_lp_space`` of C-ordered rows of |values|, which are raised to p in place."""
     if np.isinf(p):
-        return flat.max(axis=1, initial=0.0)
-    return (np.sum(flat**p, axis=1) * cell_volume) ** (1.0 / p)
+        return rows.max(axis=1, initial=0.0)
+    rows **= p
+    return (np.sum(rows, axis=1) * cell_volume) ** (1.0 / p)
 
 
 def _lq_time(slice_norms: np.ndarray, q: float, times: np.ndarray) -> float:
@@ -219,21 +223,21 @@ class CutoffFamily:
     def profile_space(self, dist):
         return smooth_transition(np.asarray(dist) / self.radius, 1.0, 2.0)
 
-    def windows(self, grid: GridSpec, zs) -> list:
+    def windows(self, grid: GridSpec, zs):
         """xi_r(x - z) on the nodes where it can be nonzero, for each z of zs.
 
         xi vanishes once |x_i - z_i| >= 2r on any axis, so z's window is
-        the product of each axis's nodes within 2r of z_i.  Displacement
-        is taken minimum-image, so a support must not wrap onto itself
-        (requires L >= 8r, enforced by the caller's grid choice); a window
-        at the box edge wraps to the other side.  xi depends on z only
-        through each axis's displacements to its window's nodes, so the
-        centers that agree in all of them share one xi, built once.
+        the product of each axis's nodes within 2r of z_i.  Displacements
+        are taken minimum-image, in [-L/2, L/2): a window at the box edge
+        wraps to the other side, and once 4r > L an axis's window is the
+        whole axis, each node at its nearest image of z_i.  xi depends on
+        z only through each axis's displacements to its window's nodes, so
+        the centers that agree in all of them share one xi.
 
-        Returns (members, flat, xi) per group of centers that share an xi:
-        ``members`` are their positions in zs, and row j of ``flat`` holds
-        member j's window nodes as flat indices into the spatial axes, in
-        the C order of xi.
+        Yields (members, flat, xi) per group of centers that share an xi,
+        one group at a time: ``members`` are their positions in zs, and
+        row j of ``flat`` holds member j's window nodes as flat indices
+        into the spatial axes, in the C order of xi.
         """
         axis = grid.axis
         along, groups = {}, {}
@@ -245,16 +249,20 @@ class CutoffFamily:
                     along[zi] = n, d[n]
             nodes, near = zip(*(along[zi] for zi in np.ravel(z)))
             key = tuple(v.tobytes() for v in near)
-            if key not in groups:
-                dist = np.sqrt(sum(m**2 for m in np.ix_(*near)))
-                groups[key] = [], [], self.profile_space(dist)
-            members, flat, _ = groups[key]
+            _, members, index = groups.setdefault(key, (near, [], []))
             members.append(j)
-            index = nodes[0]
-            for n in nodes[1:]:
-                index = np.add.outer(index * grid.points_per_axis, n)
-            flat.append(index.ravel())
-        return [(members, np.stack(flat), xi) for members, flat, xi in groups.values()]
+            index.append(nodes)
+        for near, members, index in groups.values():
+            # built when asked for, so a caller holds one group's arrays at a time
+            yield members, _flat_index(index, grid.points_per_axis), self._profile(near)
+
+    def _profile(self, near) -> np.ndarray:
+        """xi on the product of per-axis displacements ``near``, in first-axis slabs."""
+        xi = np.empty(tuple(len(v) for v in near))
+        for rows in slabs(xi.shape):
+            dist = np.sqrt(sum(m**2 for m in np.ix_(near[0][rows], *near[1:])))
+            xi[rows] = self.profile_space(dist)
+        return xi
 
     def spatial(self, grid: GridSpec, z) -> np.ndarray:
         """The spatial factor xi_r(x - z) on the grid nodes, shape (N, ..., N)."""
@@ -287,6 +295,17 @@ class CutoffFamily:
         return [(float(s), z) for s in tgrid for z in spatial]
 
 
+def _flat_index(nodes, N: int) -> np.ndarray:
+    """Row j: the C-order flat indices of the product of nodes[j]'s per-axis node arrays."""
+    flat = np.empty((len(nodes), *(len(n) for n in nodes[0])), dtype=np.intp)
+    for row, axes in zip(flat, nodes):
+        index = axes[0]
+        for n in axes[1:]:
+            index = np.add.outer(index * N, n)
+        row[...] = index
+    return flat.reshape(len(nodes), -1)
+
+
 def localized_norm(f: SpaceTimeField, spec: NormSpec, cutoffs: CutoffFamily | None = None):
     """Max over cutoff translates of the norm of f * chi_r^{s,z}.
 
@@ -300,11 +319,23 @@ def localized_norm(f: SpaceTimeField, spec: NormSpec, cutoffs: CutoffFamily | No
     axis of stride 0, as ``DriftField.sample`` returns) is read at one
     slice, whose norms stand for every time.
     """
-    if not f.is_scalar:
-        raise ValueError("localized_norm expects a scalar field")
     if cutoffs is None:
         cutoffs = CutoffFamily(radius=spec.cutoff_radius)
-    g = f.grid
+    return localized_norms([f], [spec], cutoffs)[0]
+
+
+def localized_norms(fields, specs, cutoffs: CutoffFamily) -> list[float]:
+    """``localized_norm`` of each field with its spec, over one cutoff family.
+
+    The fields share one grid.  Each cutoff window is built once, and
+    the fields with alpha = 0 are read in it one after the other, so
+    that one window's arrays are held at a time.
+    """
+    if any(not f.is_scalar for f in fields):
+        raise ValueError("localized_norm expects a scalar field")
+    g = fields[0].grid
+    if any(f.grid != g for f in fields):
+        raise ValueError("localized_norms expects fields on one grid")
     centers = cutoffs.lattice_centers(g)
     if not centers:
         raise ValueError("cutoff family has an empty center lattice")
@@ -315,30 +346,46 @@ def localized_norm(f: SpaceTimeField, spec: NormSpec, cutoffs: CutoffFamily | No
     for s, z in centers:
         rows_at.setdefault(tuple(np.ravel(z)), []).append(row_of[s])
     zs, time_rows = list(rows_at), list(rows_at.values())
-    if spec.alpha == 0.0:
-        values = f.values[:1] if f.values.strides[0] == 0 else f.values
-        values = values.reshape(len(values), -1)
-        groups = ((members, np.take(values, flat, axis=1) * xi.ravel())
-                  for members, flat, xi in cutoffs.windows(g, zs))
-    else:
-        groups = (([j], bessel_apply(f.copy_with(f.values * cutoffs.spatial(g, z)),
-                                     spec.alpha).values.reshape(g.nt, 1, -1))
-                  for j, z in enumerate(zs))
-    # tau(t - s) |f xi|_p(t) for every center, in blocks of one spatial center
-    blocks = []
-    for members, local in groups:  # local: (slices, members, window nodes)
+    # per field, tau(t - s) |f xi|_p(t) for every center, in blocks of one spatial center
+    blocks = [[] for _ in fields]
+
+    def add(i, members, local):  # local: |f xi|, (slices, members, window nodes), C order
         nt, k = local.shape[:2]
-        per_slice = _lp_space(local.reshape(nt * k, -1), spec.p, g.cell_volume)
+        per_slice = _lp_rows(local.reshape(nt * k, -1), specs[i].p, g.cell_volume)
         for j, norms in zip(members, per_slice.reshape(nt, k).T):
-            blocks.append(profiles[time_rows[j]] * norms)
+            blocks[i].append(profiles[time_rows[j]] * norms)
+
+    plain = {}  # position of each field with alpha = 0 -> its values, (slices read, nodes)
+    for i, (f, spec) in enumerate(zip(fields, specs)):
+        if spec.alpha == 0.0:
+            values = f.values[:1] if f.values.strides[0] == 0 else f.values
+            plain[i] = values.reshape(len(values), -1)
+    if plain:
+        for members, flat, xi in cutoffs.windows(g, zs):
+            for i, values in plain.items():
+                local = np.take(values, flat, axis=1)  # weighted in its own buffer
+                local *= xi.ravel()
+                add(i, members, np.abs(local, out=local))
+                del local  # released before the next field is gathered
+            del flat, xi  # and the window before the next is built
+    for i, (f, spec) in enumerate(zip(fields, specs)):
+        if i not in plain:
+            for j, z in enumerate(zs):
+                fxi = bessel_apply(f.copy_with(f.values * cutoffs.spatial(g, z)), spec.alpha)
+                add(i, [j], np.abs(fxi.values, order="C").reshape(g.nt, 1, -1))
+    return [_largest_norm(b, spec.q, times) for b, spec in zip(blocks, specs)]
+
+
+def _largest_norm(blocks, q: float, times: np.ndarray) -> float:
+    """The largest L^q-in-time norm of the rows of blocks, one block per spatial center."""
     rows = np.concatenate(blocks)
-    if np.isinf(spec.q):
+    if np.isinf(q):
         return float(rows.max())
     # as _lq_time takes it, the root of each spatial center's largest integral:
     # a scalar pow, whose bits an array pow need not match
     offsets = np.cumsum([0] + [len(b) for b in blocks[:-1]])
-    peaks = np.maximum.reduceat(np.trapezoid(rows**spec.q, times, axis=-1), offsets)
-    return max(float(v ** (1.0 / spec.q)) for v in peaks)
+    peaks = np.maximum.reduceat(np.trapezoid(rows**q, times, axis=-1), offsets)
+    return max(float(v ** (1.0 / q)) for v in peaks)
 
 
 # ---------------------------------------------------------------------------

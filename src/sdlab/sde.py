@@ -704,29 +704,3 @@ def weak_convergence_scan(base_drift: DriftField, eps_levels, observables, start
         "modulus_uniform_bound": float(mod.max()),
         "modulus_shape_constant": c_fit,
     }
-
-
-# ---------------------------------------------------------------------------
-# Markov restart consistency
-
-
-def markov_check(drift: DriftField, start, t0: float, t1: float, f,
-                 s: float = 0.0, dt: float = 1e-3, paths: int = 4000,
-                 seed: int = 0) -> EstimateReport:
-    """One-shot law at t1 versus restart from the empirical t0 marginal."""
-    cfg = EnsembleConfig(drift, (s, start), t1, dt, paths, seed,
-                         store_stride=max(1, int(round((t0 - s) / dt))))
-    ens = simulate(cfg)
-    one, se1 = batch_stats(f(ens.final_states))
-
-    mid = ens.state_at(t0)
-    gen = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(2**33)]))
-    restart = mid[gen.integers(0, paths, size=paths)]
-    cfg2 = EnsembleConfig(drift, (t0, restart), t1, dt, paths, seed + 77,
-                          store_stride=max(1, int(round((t1 - t0) / dt))))
-    ens2 = simulate(cfg2)
-    two, se2 = batch_stats(f(ens2.final_states))
-    se = np.hypot(se1, se2)
-    passed = abs(one - two) <= 3 * se
-    return EstimateReport("markov_restart", one, se, two, abs(one - two) / max(se, 1e-300),
-                          bool(passed), {"restart_estimate": two, "t0": t0})

@@ -183,7 +183,7 @@ def test_verifiers_draw_disjoint_noise_keys(monkeypatch, tmp_path):
     checks = tuple((section, tagged(v["name"], check))
                    for v, (section, check) in zip(run.resolved["verifiers"], run.verifiers))
     _run_config(replace(run, verifiers=checks), tmp_path)
-    assert set(seeds) == {"ensemble", "feynman-kac", "krylov", "khasminskii", "markov"}
+    assert set(seeds) == {"ensemble", "feynman-kac", "krylov", "khasminskii"}
     for a, b in itertools.combinations(seeds, 2):
         assert not seeds[a] & seeds[b], f"{a} and {b} share seeds {seeds[a] & seeds[b]}"
 
@@ -324,8 +324,6 @@ VALUE_FAULTS = {
     "store-stride-0": (lambda c: c["ensemble"].update(store_stride=0), "store_stride"),
     "nan-dt": (lambda c: c["ensemble"].update(dt=float("nan")), "ensemble.dt"),
     "bool-points": (lambda c: c["grid"].update(points=True), "grid.points"),
-    "markov-t0-after-t1": (lambda c: c["verifiers"].append({"name": "markov", "t0": 0.4, "t1": 0.2}),
-                           "t0"),
     "bump-width-0": (lambda c: c.update(source={"kind": "bump", "width": 0}), "width"),
     "constant-1d-on-2d": (lambda c: c.update(drift={"kind": "constant", "value": [1.0]}), "value"),
     "external-missing": (lambda c: c.update(drift={"kind": "external", "path": "no/such.sdlf"}),
@@ -351,8 +349,6 @@ VALUE_FAULTS = {
     # feynman-kac reads the solution at its mid-window panel time 0.25, not a time of 5 steps
     "feynman-kac-off-pde-grid": (lambda c: c["grid"].update(steps=5),
                                  "verifiers[2] (feynman-kac): time 0.25 is not a grid time"),
-    "markov-off-grid": (lambda c: c["verifiers"].append({"name": "markov", "t1": 0.4025}),
-                        "(markov): t1 - t0"),
     "krylov-off-grid": (lambda c: c["verifiers"].append({"name": "krylov",
                                                         "deltas": [0.05, 0.1025]}),
                         "(krylov): delta = 0.1025"),

@@ -1,9 +1,10 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sdlab import drifts, norms
+from sdlab import drifts, grids, norms
 from sdlab.drifts import (
     check_admissibility,
     constant_drift,
@@ -138,6 +139,57 @@ def test_sample_is_speed_and_negative_divergence(b):
             value[near], div[near] = fallback(t, X[near]), fallback.divergence(t, X[near])
         assert np.array_equal(speed.values[k].ravel(), np.linalg.norm(value, axis=-1))
         assert np.array_equal(div_neg.values[k].ravel(), np.maximum(-div, 0.0))
+
+
+SLAB_CASES = {
+    # the singular fields put nodes on their singular points: the h/2 fallback is taken
+    "radial-2d": (radial_drift(0.5, 2), GridSpec(2, 4.0, 16, 0.0, 0.5, 3)),
+    "radial-3d": (radial_drift(0.5, 3), GridSpec(3, 4.0, 8, 0.0, 0.5, 3)),
+    "lattice-2d": (lattice_drift(1.0, 1.5, 2), GridSpec(2, 4.0, 16, 0.0, 0.5, 3)),
+    "lattice-1d": (lattice_drift(1.0, 1.5, 1), GridSpec(1, 8.0, 64, 0.0, 0.5, 3)),
+    "time-dependent": (_wave(True), GridSpec(2, 4.0, 16, 0.0, 0.5, 3)),
+}
+
+
+@pytest.mark.parametrize("slab_nodes", [5, 40])
+@pytest.mark.parametrize("case", sorted(SLAB_CASES))
+def test_sample_does_not_depend_on_the_slabs(monkeypatch, case, slab_nodes):
+    b, g = SLAB_CASES[case]
+    assert g.points_per_axis ** g.spatial_dim <= grids.SLAB_NODES  # one slab
+    whole = b.sample(g)
+    # 5 nodes: one plane per slab in 2-D and 3-D, 5 nodes in 1-D; 40: two 2-D planes, 40 nodes
+    monkeypatch.setattr(grids, "SLAB_NODES", slab_nodes)
+    assert len(grids.slabs(g.spatial_shape())) > 1
+    for one, slabbed in zip(whole, b.sample(g)):
+        assert np.array_equal(one.values, slabbed.values)
+        assert (slabbed.values.strides[0] == 0) == (one.values.strides[0] == 0)
+    if b.singular_distance is not None:
+        assert (b.singular_distance(g.nodes()) < g.h / 2).any()
+
+
+def test_sample_peak_memory_is_its_outputs():
+    g = GridSpec(3, 4.0, 64, 0.0, 0.5, 2)
+    b = radial_drift(0.5, 3, 0.2)
+    tracemalloc.start()
+    try:
+        speed, div_neg = b.sample(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = sum(f.values.base.nbytes for f in (speed, div_neg))
+    assert outputs == 2 * 64**3 * 8  # a frozen field holds one slice
+    # the kernel runs on slabs of at most grids.SLAB_NODES nodes
+    assert peak <= 3 * outputs
+
+
+def test_frozen_field_with_a_nan_is_rejected():
+    g = GridSpec(2, 4.0, 8, 0.0, 0.5, 4)
+    one = np.zeros((1, 8, 8))
+    one[0, 3, 4] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        SpaceTimeField(g, np.broadcast_to(one, (g.nt, 8, 8)), 1)
+    one[0, 3, 4] = 1.0
+    assert SpaceTimeField(g, np.broadcast_to(one, (g.nt, 8, 8)), 1).values.strides[0] == 0
 
 
 def test_radial_drift_scaling_symmetry():
@@ -391,6 +443,26 @@ def test_admissibility_samples_each_grid_once():
     check_admissibility(b, 2.5, 12.0, 1.8, 12.0, g)
     # a frozen field: one kernel call for b and div b on each of the two grids
     assert calls == [(16**2, True), (32**2, True)]
+
+
+def test_admissibility_builds_each_grids_windows_once(monkeypatch):
+    g = GridSpec(2, 4.0, 16, 0.0, 0.5, 2)
+    windows, grids_seen = norms.CutoffFamily.windows, []
+
+    def counted(self, grid, zs):
+        grids_seen.append(grid.points_per_axis)
+        return windows(self, grid, zs)
+
+    monkeypatch.setattr(norms.CutoffFamily, "windows", counted)
+    b = radial_drift(0.5, 2, 0.2)
+    rep = check_admissibility(b, 2.5, 12.0, 1.8, 12.0, g)
+    # |b| and (div b)^- are read in the same windows
+    assert grids_seen == [16, 32]
+    # with the bits of one localized_norm per field
+    fam = norms.CutoffFamily(1.0, [(0.25, np.zeros(2)), (0.25, np.full(2, 0.5))])
+    speed, div_neg = b.sample(g)
+    assert rep.drift_norm == norms.localized_norm(speed, norms.NormSpec(0.0, 2.5, 12.0), fam)
+    assert rep.div_norm == norms.localized_norm(div_neg, norms.NormSpec(0.0, 1.8, 12.0), fam)
 
 
 def test_admissibility_singular_radial_divergence_unstable():

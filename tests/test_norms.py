@@ -326,9 +326,9 @@ def test_cutoff_window_is_the_support():
     lattice = list(dict.fromkeys(tuple(z) for _, z in fam.lattice_centers(g)))
     # the 256 lattice centers all sit a quarter cell off the nodes, and a window's
     # displacements run in node order: per axis, 7 windows that wrap and 1 that does not
-    assert len(lattice) == 256 and len(fam.windows(g, lattice)) == 8 * 8
+    assert len(lattice) == 256 and len(list(fam.windows(g, lattice))) == 8 * 8
     zs = _spatial_centers(g) + lattice
-    groups = fam.windows(g, zs)
+    groups = list(fam.windows(g, zs))
     assert sorted(j for members, _, _ in groups for j in members) == list(range(len(zs)))
     for members, flat, xi in groups:
         for j, index in zip(members, flat):
@@ -392,8 +392,8 @@ def test_localized_norm_reads_a_frozen_sample_at_one_slice(monkeypatch, time_dep
     fam = CutoffFamily(1.0, [(s, z) for s in (0.5, 2.0) for z in _spatial_centers(g)])
     spec = NormSpec(0.0, 3.0, 4.0, 1.0)
     rows = []
-    lp_space = norms._lp_space
-    monkeypatch.setattr(norms, "_lp_space", lambda v, p, cv: rows.append(len(v)) or lp_space(v, p, cv))
+    lp_rows = norms._lp_rows
+    monkeypatch.setattr(norms, "_lp_rows", lambda v, p, cv: rows.append(len(v)) or lp_rows(v, p, cv))
     got = localized_norm(speed, spec, fam)
     # one row per spatial center and slice read: every slice of a time-dependent field
     assert sum(rows) == len(_spatial_centers(g)) * (g.nt if time_dependent else 1)

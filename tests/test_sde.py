@@ -35,7 +35,6 @@ from sdlab.sde import (
     khasminskii_verify,
     krylov_verify,
     load_ensemble_arrays,
-    markov_check,
     martingale_defect,
     normal_ks,
     save_ensemble,
@@ -395,25 +394,6 @@ def test_tightness_modulus_brownian_oracle():
     mods2 = tightness_modulus(simulate(cfg2), [0.05, 0.1])
     for a, b in zip(mods, mods2):
         assert a == pytest.approx(b, rel=0.05)
-
-
-def test_markov_restart_consistency():
-    rep = markov_check(BROWNIAN, [0.0, 0.0], 0.2, 0.4, lambda X: np.cos(X[:, 0]),
-                       dt=0.005, paths=4000, seed=27)
-    assert rep.passed
-    rep = markov_check(OU1, [1.0], 0.3, 0.6, lambda X: X[:, 0],
-                       dt=0.005, paths=4000, seed=28)
-    assert rep.passed
-
-
-def test_markov_radial_across_seeds():
-    ok = 0
-    for seed in range(5):
-        rep = markov_check(radial_drift(0.5, 2, 0.1), [0.5, 0.0], 0.25, 0.5,
-                           lambda X: np.exp(-np.sum(X**2, axis=1)),
-                           dt=0.005, paths=4000, seed=100 + seed)
-        ok += rep.passed
-    assert ok >= 4  # 3-sigma criterion admits rare statistical misses
 
 
 def test_backward_flow_det_pure_brownian_exact():
