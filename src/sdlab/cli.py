@@ -365,13 +365,6 @@ def _krylov(run, *, deltas: list[float] = (0.05, 0.1, 0.2)):
                                            paths=1000, seed=run.seed + 2000).record()
 
 
-def _khasminskii(run, *, lambda_: float = 1.0):
-    start, dt, _ = run.sampling
-    _whole_steps("the span", 1.0, dt)
-    return lambda _: sde_mod.khasminskii_verify(run.problem.drift, start, run.source, lambda_,
-                                                dt=dt, paths=1000, seed=run.seed + 3000).record()
-
-
 def _zero_drift_only(check):
     """The builder of a check of the b = 0 law, Brownian motion with covariance 2t."""
     def build(run):
@@ -389,7 +382,6 @@ VERIFIERS = {
     "feynman-kac": (_feynman_kac, "pde"),
     "stability": (lambda run: _stability, "sweep"),
     "krylov": (_krylov, None),
-    "khasminskii": (_khasminskii, None),
 }
 
 

@@ -406,13 +406,9 @@ def mollifier_kernel(grid: GridSpec, epsilon: float) -> np.ndarray:
     r2 = sum(grid.wrap(m) ** 2 for m in mesh) / epsilon**2
     with np.errstate(divide="ignore", over="ignore"):
         ker = np.where(r2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - r2, 1e-300)), 0.0)
-    total = ker.sum()
-    if total == 0.0:
-        # support below mesh resolution: degenerate to the identity kernel
-        ker = np.zeros_like(ker)
-        ker[(grid.points_per_axis // 2,) * grid.spatial_dim] = 1.0
-        return ker
-    return ker / total
+    # the box's node N//2 sits at 0, where r2 = 0: the sum is never 0, and for
+    # epsilon <= h that node alone is in the support, a unit spike
+    return ker / ker.sum()
 
 
 def mollify(f: SpaceTimeField, epsilon: float) -> SpaceTimeField:
@@ -421,12 +417,12 @@ def mollify(f: SpaceTimeField, epsilon: float) -> SpaceTimeField:
     The discrete kernel is normalized to sum 1, so constants and the
     per-slice integral are preserved exactly (up to FFT round-off).
     """
+    if f.components != 1:
+        raise ValueError("mollify expects a scalar field; mollify components separately")
     ker = mollifier_kernel(f.grid, epsilon)
     axes = tuple(range(1, 1 + f.grid.spatial_dim))
     # kernel is sampled with its peak at the box center; shift it to index 0
     ker_hat = np.fft.fftn(np.fft.ifftshift(ker))
     spec = np.fft.fftn(f.values, axes=axes)
     out = np.fft.ifftn(spec * ker_hat, axes=axes).real
-    if f.components != 1:
-        raise ValueError("mollify expects a scalar field; mollify components separately")
     return f.copy_with(out)

@@ -440,26 +440,6 @@ def krylov_verify(drift: DriftField, starts, f, deltas,
     )
 
 
-def khasminskii_verify(drift: DriftField, start, f, lam: float,
-                       dt: float = 1e-3, paths: int = 4000, seed: int = 0) -> EstimateReport:
-    """Exponential moment E exp(lam * int_0^1 |f(t,X_t)| dt)."""
-    # only the final integral is read: store the end state alone
-    cfg = EnsembleConfig(drift, (0.0, start), 1.0, dt, paths, seed,
-                         store_stride=max(1, int(round(1.0 / dt))))
-    ens = simulate(cfg, integrands={"absf": lambda t, X, b: np.abs(f(t, X))})
-    expo = lam * ens.integrals["absf"][:, -1]
-    if expo.max() > 700:
-        q = float(np.quantile(expo, 0.999))
-        return EstimateReport("khasminskii", np.inf, np.inf, np.nan, np.nan, False,
-                              {"overflow_quantile_999": q})
-    vals = np.exp(expo)
-    mean, se = batch_stats(vals)
-    half, _ = batch_stats(vals[: len(vals) // 2])
-    stable = abs(half - mean) <= 3 * se + 1e-12
-    return EstimateReport("khasminskii", mean, se, mean + 3 * se, mean, bool(stable),
-                          {"lambda": lam, "half_sample_mean": half})
-
-
 # ---------------------------------------------------------------------------
 # Jacobian determinant of the inverse flow, L1 mass transport
 

@@ -411,6 +411,29 @@ def test_mollifier_kernel_mass_and_support():
     assert np.all(ker[rho >= 0.5] == 0.0)
 
 
+@pytest.mark.parametrize("d, n, L", [(1, 64, 3.0), (2, 8, 1.0), (3, 4, 8.0)])
+def test_mollifier_below_mesh_width_is_unit_spike(d, n, L):
+    # eps <= h leaves only the node at 0, index N//2, in the support
+    g = GridSpec(d, L, n, 0.0, 1.0, 2)
+    with pytest.warns(UserWarning, match="under-resolved"):
+        ker = mollifier_kernel(g, g.h / 2)
+    spike = np.zeros(g.spatial_shape())
+    spike[(n // 2,) * d] = 1.0
+    assert np.array_equal(ker, spike)
+
+
+def test_mollify_rejects_vector_field_before_any_fft(monkeypatch):
+    g = GridSpec(2, 4.0, 16, 0.0, 1.0, 2)
+    v = SpaceTimeField(g, np.zeros((g.nt, 2, 16, 16)), 2)
+
+    def no_kernel(*args):
+        raise AssertionError("kernel built for a field mollify rejects")
+
+    monkeypatch.setattr(norms, "mollifier_kernel", no_kernel)
+    with pytest.raises(ValueError, match="scalar field"):
+        mollify(v, 0.5)
+
+
 def test_mollify_preserves_mean_and_constants():
     g = GridSpec(2, 4.0, 64, 0.0, 1.0, 2)
     rng = np.random.default_rng(5)

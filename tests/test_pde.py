@@ -71,6 +71,23 @@ def test_maximum_principle_exact():
         assert sol.u.values.min() >= 0.0
 
 
+@pytest.mark.parametrize("direction, slices", [("forward", slice(0, 2)),
+                                               ("backward", slice(-2, None))])
+def test_max_principle_flags_crank_nicolson(direction, slices):
+    # a unit point source on the first two slices the solver marches through, at
+    # dt/h^2 = 12.8: CN's explicit half step I + dt/2 A has diagonal 1 - d dt/h^2 < 0,
+    # so it rings below 0; the implicit scheme is monotone for any dt
+    g = GridSpec(2, 4.0, 64, 0.0, 0.5, 10)
+    values = np.zeros((g.nt, 64, 64))
+    values[slices, 32, 32] = 1.0
+    prob = PDEProblem(zero_drift(2).mollified(1.0), SpaceTimeField(g, values, 1), g,
+                      direction=direction)
+    cn = solve(prob, SolverConfig("cn"))
+    assert max_principle_violations(cn) == 5
+    assert cn.u.values.min() == pytest.approx(-4.9e-4, rel=0.01)
+    assert max_principle_violations(solve(prob)) == 0
+
+
 def test_comparison_with_signed_source():
     g = GridSpec(1, 2.0, 32, 0.0, 0.2, 20)
     rng = np.random.default_rng(1)

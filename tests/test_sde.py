@@ -7,8 +7,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 import scipy.stats
 
 from sdlab import sde
@@ -22,7 +20,7 @@ from sdlab.drifts import (
     zero_drift,
 )
 from sdlab.grids import GridSpec, SpaceTimeField, write_field
-from sdlab.pde import PDEProblem, build_operator, solve
+from sdlab.pde import PDEProblem, solve
 from sdlab.sde import (
     EnsembleConfig,
     ProbeFunction,
@@ -32,7 +30,6 @@ from sdlab.sde import (
     density_estimate,
     feynman_kac_check,
     jacobian_semigroup,
-    khasminskii_verify,
     krylov_verify,
     load_ensemble_arrays,
     martingale_defect,
@@ -140,35 +137,6 @@ def test_krylov_uniform_over_symmetric_panel():
                         [0.05, 0.1, 0.2], dt=0.005, paths=2000, seed=9)
     assert rep.passed
     assert rep.meta["uniform_ratio"] <= 2.0
-
-
-def test_khasminskii_closed_forms():
-    rep = khasminskii_verify(zero_drift(1).mollified(1.0), [0.0],
-                             lambda t, X: np.zeros(len(X)), 3.0, dt=0.01, paths=500, seed=10)
-    assert rep.lhs == pytest.approx(1.0, abs=1e-12)
-    rep = khasminskii_verify(zero_drift(1).mollified(1.0), [0.0],
-                             lambda t, X: np.full(len(X), 0.7), 2.0, dt=0.01, paths=500, seed=11)
-    assert rep.lhs == pytest.approx(np.exp(1.4), rel=1e-12)
-    assert rep.passed
-
-
-def test_khasminskii_bump_splitting_oracle():
-    # d=1, b=0, f a smooth bump, lam = 2: Lie splitting of the backward
-    # equation with potential lam*f gives E exp(lam int f) at the start
-    lam, dt, n = 2.0, 0.005, 128
-    g = GridSpec(1, 16.0, n, 0.0, 1.0, int(round(1.0 / dt)))
-    fx = np.exp(-(g.axis**2))
-    A = build_operator(g, np.zeros((n, 1)))
-    M = sp.identity(n, format="csc") - dt * A.tocsc()
-    lu = spla.splu(M)
-    v = np.ones(n)
-    for _ in range(g.time_steps):
-        v = lu.solve(v * np.exp(lam * fx * dt))
-    oracle = v[np.argmin(np.abs(g.axis))]  # start at x = 0
-    rep = khasminskii_verify(zero_drift(1).mollified(1.0), [0.0],
-                             lambda t, X: np.exp(-X[:, 0] ** 2), lam,
-                             dt=dt, paths=8000, seed=12)
-    assert abs(rep.lhs - oracle) <= 3 * rep.se + 0.05 * oracle
 
 
 def test_jacobian_brownian_and_ou():
