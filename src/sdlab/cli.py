@@ -260,9 +260,9 @@ def _config(*, schema_version: int, grid: dict, drift: dict, name: str = "unname
     kind, make, keys = _choose("source", _SOURCES, source, "kind", "source kind")
     profile, keys = _bind(f"source ({kind})", make, keys)
     resolved["source"] = {"kind": kind, **keys}
-    # the profiles do not depend on time: sample one slice and repeat it
+    # the profiles do not depend on time: sample one slice and repeat it through a zero stride
     values = profile(spec.time_start, spec.nodes()).reshape(spec.spatial_shape())
-    sampled = SpaceTimeField(spec, np.tile(values, (spec.nt,) + (1,) * spec.spatial_dim), 1)
+    sampled = SpaceTimeField(spec, np.broadcast_to(values, (spec.nt, *values.shape)), 1)
     # the sweep solves in the pde section's direction even when nothing else is solved
     (problem, solver), keys = _bind("pde", _pde, pde or {}, b, sampled, spec)
     stages = {}
@@ -391,7 +391,9 @@ VERIFIERS = {
 
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
-    h.update(path.read_bytes())
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            h.update(chunk)
     return h.hexdigest()
 
 
@@ -440,17 +442,19 @@ def _run_config(run: Run, outdir: Path) -> dict:
 
     outputs = {None: None}
     problem = run.problem
+    # the sweep level, if any, whose solve the pde stage takes
+    level = (None if run.sweep is None or run.pde is None
+             else pde_mod.sweep_level_of(problem, run.pde, run.sweep))
     if run.sweep is not None:
         # mollified(eps) rebuilds the drift from its family, so the run's
         # mollified drift serves as the sweep's base
         sweep = outputs["sweep"] = pde_mod.stability_sweep(
-            problem.drift, run.sweep, problem.source, problem.grid, direction=problem.direction)
+            problem.drift, run.sweep, problem.source, problem.grid, direction=problem.direction,
+            keep=level)
 
     if run.pde is not None:
-        level = (None if run.sweep is None
-                 else pde_mod.sweep_level_of(problem, run.pde, run.sweep))
         solution = outputs["pde"] = (pde_mod.solve(problem, run.pde) if level is None
-                                     else sweep["solutions"][level])
+                                     else sweep["kept"])
         path = outdir / "solution.sdlf"
         write_field(path, solution.u)
         artifact("solution", path)

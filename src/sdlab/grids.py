@@ -209,7 +209,8 @@ def write_field(path, f: SpaceTimeField) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
+        for s in slabs(f.values.shape):  # a slab is copied only when not contiguous
+            fh.write(np.ascontiguousarray(f.values[s], dtype="<f8"))
 
 
 def read_field(path) -> SpaceTimeField:

@@ -128,10 +128,11 @@ def spatial_gradient(f: SpaceTimeField, energy: bool = False) -> np.ndarray:
 
     With ``energy=True``, the integral of |grad f|^2 per slice instead,
     shape (nt,).  By Parseval this is (h^d / N^d) sum_k w |k|^2 |f^(k)|^2
-    over one ``rfftn``, with w = 2 on the columns that the real transform
-    halves and 1 on its k = 0 and Nyquist columns.  Each axis's
-    wavenumber is 0 at its Nyquist index, as in the gradient itself: the
-    real part of the inverse transform drops i k f^ there.
+    over the ``rfftn`` of each slice, with w = 2 on the columns that the
+    real transform halves and 1 on its k = 0 and Nyquist columns.  Each
+    axis's wavenumber is 0 at its Nyquist index, as in the gradient
+    itself: the real part of the inverse transform drops i k f^ there.
+    The slices are transformed in time slabs (``grids.slabs``).
     """
     g = f.grid
     N, d = g.points_per_axis, g.spatial_dim
@@ -144,9 +145,12 @@ def spatial_gradient(f: SpaceTimeField, energy: bool = False) -> np.ndarray:
         k2 = k[: N // 2 + 1] ** 2  # the halved axis: rfftfreq up to the sign of Nyquist
         for _ in range(d - 1):
             k2 = np.add.outer(k**2, k2)
-        spec = np.fft.rfftn(f.values, axes=axes)
-        dens = spec.real**2 + spec.imag**2
-        return (dens * (w * k2)).reshape(len(dens), -1).sum(axis=1) * (g.cell_volume / N**d)
+        energy = np.empty(len(f.values))
+        for s in slabs(f.values.shape):
+            spec = np.fft.rfftn(f.values[s], axes=axes)
+            dens = spec.real**2 + spec.imag**2
+            energy[s] = (dens * (w * k2)).reshape(len(dens), -1).sum(axis=1)
+        return energy * (g.cell_volume / N**d)
     spec = np.fft.fftn(f.values, axes=axes)
     comps = [np.fft.ifftn(1j * k * spec, axes=axes).real for k in g.wavenumbers()]
     return np.stack(comps, axis=1)
@@ -158,8 +162,13 @@ def _lp_space(values: np.ndarray, p: float, cell_volume: float) -> np.ndarray:
     A slice with no nodes (an empty window) has norm 0.  Each slice is
     summed as one contiguous row, so the bits do not depend on the layout
     of ``values``: a copy of a frozen sample has its time axis fastest.
+    The slices are taken in first-axis slabs, so no whole-field |values| is built.
     """
-    return _lp_rows(np.abs(values, order="C").reshape(len(values), -1), p, cell_volume)
+    out = np.empty(len(values))
+    for s in slabs(values.shape):
+        slab = np.abs(values[s], order="C")
+        out[s] = _lp_rows(slab.reshape(len(slab), -1), p, cell_volume)
+    return out
 
 
 def _lp_rows(rows: np.ndarray, p: float, cell_volume: float) -> np.ndarray:

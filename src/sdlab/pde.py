@@ -15,7 +15,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from sdlab.drifts import DriftField
-from sdlab.grids import GridSpec, SpaceTimeField
+from sdlab.grids import GridSpec, SpaceTimeField, slabs
 from sdlab.norms import (
     CutoffFamily,
     NormSpec,
@@ -152,27 +152,28 @@ def solve(problem: PDEProblem, config: SolverConfig | None = None) -> SolutionBu
 
     A, lu, E = step_operators(drift_at(0))
     u = np.zeros((grid.nt, n))
+    # march step k fills row rows[k + 1]: a backward solution is stored in time order
+    rows = range(grid.nt)[::-1] if backward else range(grid.nt)
     residual = 0.0
     for k in range(grid.time_steps):
         if k > 0 and problem.drift.time_dependent:
             A, lu, E = step_operators(drift_at(k))
+        old = u[rows[k]]
+        # each step's solve, and the discrete defect of its relation (solver
+        # consistency, not discretization error)
         if config.scheme == "implicit":
-            rhs = u[k] + dt * fvals[k]
+            new = u[rows[k + 1]] = lu.solve(old + dt * fvals[k])
+            r = (new - old) / dt - A @ new - fvals[k]
         else:
-            rhs = E @ u[k] + dt * 0.5 * (fvals[k] + fvals[k + 1])
-        u[k + 1] = lu.solve(rhs)
-        if config.scheme == "implicit":
-            # discrete defect of this step's implicit relation (solver
-            # consistency, not discretization error)
-            r = (u[k + 1] - u[k]) / dt - A @ u[k + 1] - fvals[k]
-            residual = max(residual, float(np.abs(r).max()))
+            half_f = 0.5 * (fvals[k] + fvals[k + 1])
+            new = u[rows[k + 1]] = lu.solve(E @ old + dt * half_f)
+            r = (new - old) / dt - A @ (new + old) * 0.5 - half_f
+        residual = max(residual, float(np.abs(r).max()))
 
-    if backward:
-        u = u[::-1]
     ufield = SpaceTimeField(grid, u.reshape(grid.nt, *grid.spatial_shape()), 1)
     return SolutionBundle(
         u=ufield,
-        sup_norm=float(np.abs(u).max()),
+        sup_norm=float(max(u.max(), -u.min())),
         v_norm=vnorm(ufield),
         residual=residual,
     )
@@ -180,9 +181,7 @@ def solve(problem: PDEProblem, config: SolverConfig | None = None) -> SolutionBu
 
 def max_principle_violations(bundle: SolutionBundle) -> int:
     """Count nodes where u < -1e-12*scale; zero for f >= 0 by monotonicity."""
-    u = bundle.u.values
-    scale = max(1.0, float(np.abs(u).max()))
-    return int(np.count_nonzero(u < -1e-12 * scale))
+    return int(np.count_nonzero(bundle.u.values < -1e-12 * max(1.0, bundle.sup_norm)))
 
 
 # ---------------------------------------------------------------------------
@@ -290,27 +289,26 @@ def stability_sweep(
     source: SpaceTimeField,
     grid: GridSpec,
     direction: str = "forward",
+    keep: int | None = None,
 ) -> dict:
     """Solve at each mollification level with the implicit scheme; report Cauchy behavior.
 
     Distances are L^2 norms of consecutive differences on the central
-    compact sub-box |x_i| <= L/4, time in [t0, t1].
+    compact sub-box |x_i| <= L/4, time in [t0, t1].  Only the previous
+    level's solution is held, and the one at index ``keep``, returned as
+    "kept" (None without ``keep``).
     """
     eps_levels = check_eps_levels(eps_levels)
-    sols = []
-    for eps in eps_levels:
-        prob = PDEProblem(base_drift.mollified(eps), source, grid, direction)
-        sols.append(solve(prob))
-
-    mask = _central_mask(grid)
-    cell = grid.cell_volume
-    dists = []
-    for a, b in zip(sols, sols[1:]):
-        diff = (a.u.values - b.u.values) * mask
-        val = float(
-            np.sqrt(np.trapezoid(np.sum(diff**2, axis=tuple(range(1, diff.ndim))) * cell, grid.times))
-        )
-        dists.append(val)
+    prev = kept = None
+    norms, dists = [], []
+    for i, eps in enumerate(eps_levels):
+        sol = solve(PDEProblem(base_drift.mollified(eps), source, grid, direction))
+        norms.append((sol.sup_norm, sol.v_norm))
+        if prev is not None:
+            dists.append(_central_distance(prev.u, sol.u))
+        prev = sol
+        if i == keep:
+            kept = sol
 
     # geometric Cauchy-rate fit: log dist vs level index
     rate = np.nan
@@ -321,10 +319,10 @@ def stability_sweep(
         "eps_levels": eps_levels,
         "distances": dists,
         "cauchy_rate": rate,
-        "sup_norms": [s.sup_norm for s in sols],
-        "v_norms": [s.v_norm for s in sols],
-        "uniform_bound": max(s.sup_norm + s.v_norm for s in sols),
-        "solutions": sols,
+        "sup_norms": [sup for sup, _ in norms],
+        "v_norms": [v for _, v in norms],
+        "uniform_bound": max(sup + v for sup, v in norms),
+        "kept": kept,
     }
 
 
@@ -343,6 +341,17 @@ def sweep_level_of(problem: PDEProblem, config: SolverConfig | None, eps_levels)
         if eps == b.mollification_level or b.mollified(eps) is b:
             return i
     return None
+
+
+def _central_distance(a: SpaceTimeField, b: SpaceTimeField) -> float:
+    """Space-time L^2 norm of a - b on the central sub-box, its slices summed in time slabs."""
+    grid = a.grid
+    mask = _central_mask(grid)
+    sq = np.empty(grid.nt)
+    for s in slabs(a.values.shape):
+        diff = (a.values[s] - b.values[s]) * mask
+        sq[s] = np.sum(diff**2, axis=tuple(range(1, diff.ndim)))
+    return float(np.sqrt(np.trapezoid(sq * grid.cell_volume, grid.times)))
 
 
 def _central_mask(grid: GridSpec) -> np.ndarray:

@@ -6,7 +6,7 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from sdlab import norms
+from sdlab import grids, norms
 from sdlab.drifts import DriftField, check_admissibility, lattice_drift, radial_drift
 from sdlab.grids import GridSpec, SpaceTimeField
 from sdlab.norms import (
@@ -490,3 +490,18 @@ def test_vnorm_parseval_matches_spectral_gradient(d, n):
     np.testing.assert_allclose(spatial_gradient(f, energy=True), energy, rtol=1e-13, atol=0)
     reference = mixed_norm(f, 2.0, np.inf) + np.sqrt(np.trapezoid(energy, g.times))
     assert vnorm(f) == pytest.approx(reference, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("planes", [1, 3, None], ids=["one-plane", "three-planes", "whole"])
+@pytest.mark.parametrize("d, n", [(1, 64), (2, 16), (3, 8)])
+def test_norms_do_not_depend_on_the_slabs(monkeypatch, d, n, planes):
+    g = GridSpec(d, 3.0, n, 0.0, 1.0, 7)  # 8 slices: three-plane slabs leave a remainder
+    f = SpaceTimeField(g, np.random.default_rng(d).standard_normal((g.nt,) + g.spatial_shape()), 1)
+    assert len(grids.slabs(f.values.shape)) == 1  # the whole field is one slab
+    whole = (vnorm(f), spatial_gradient(f, energy=True), mixed_norm(f, 3.0, 2.0))
+    if planes is not None:
+        monkeypatch.setattr(grids, "SLAB_NODES", planes * n**d)
+        assert len(grids.slabs(f.values.shape)) == -(-g.nt // planes)
+    slabbed = (vnorm(f), spatial_gradient(f, energy=True), mixed_norm(f, 3.0, 2.0))
+    assert whole[0] == slabbed[0] and whole[2] == slabbed[2]
+    assert np.array_equal(whole[1], slabbed[1])

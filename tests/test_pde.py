@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,17 +13,20 @@ from sdlab.drifts import (
     radial_drift,
     zero_drift,
 )
-from sdlab.grids import GridSpec, SpaceTimeField, write_field
+from sdlab import grids
+from sdlab.grids import GridSpec, SpaceTimeField, read_field, write_field
 from sdlab.norms import NormSpec
 from sdlab.pde import (
     PDEProblem,
     SolverConfig,
+    _central_mask,
     _factor,
     build_operator,
     energy_monitor,
     max_principle_violations,
     solve,
     stability_sweep,
+    sweep_level_of,
 )
 
 
@@ -181,6 +186,107 @@ def test_stability_sweep_cauchy():
     assert all(b < a for a, b in zip(d, d[1:]))
     assert np.isfinite(rep["uniform_bound"])
     assert rep["cauchy_rate"] < 1.0
+
+
+def bump_source(grid, tiled=False):
+    """The CLI's bump source of width 0.5, one slice repeated through a zero stride or tiled."""
+    one = np.exp(-sum(m**2 for m in grid.meshgrid()) / 0.25)
+    values = np.broadcast_to(one, (grid.nt, *one.shape))
+    return SpaceTimeField(grid, values.copy() if tiled else values, 1)
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("planes", [1, 3, None], ids=["one-plane", "three-planes", "whole"])
+def test_sweep_does_not_depend_on_the_slabs(monkeypatch, planes, direction):
+    g = GridSpec(2, 4.0, 16, 0.0, 0.5, 20)
+    levels = [0.4, 0.2, 0.1]
+    b, f = radial_drift(0.5, 2), bump_source(g)
+    assert len(grids.slabs((g.nt, 16, 16))) == 1  # the whole field is one slab
+    # reference: every level held, each distance from whole-field differences
+    sols = [solve(PDEProblem(b.mollified(eps), f, g, direction)) for eps in levels]
+    dists = []
+    for a, c in zip(sols, sols[1:]):
+        diff = (a.u.values - c.u.values) * _central_mask(g)
+        dists.append(float(np.sqrt(np.trapezoid(np.sum(diff**2, axis=(1, 2)) * g.cell_volume,
+                                                g.times))))
+    if planes is not None:
+        monkeypatch.setattr(grids, "SLAB_NODES", planes * 16**2)
+    rep = stability_sweep(b, levels, f, g, direction)
+    assert rep["distances"] == dists
+    assert rep["sup_norms"] == [s.sup_norm for s in sols]
+    assert rep["v_norms"] == [s.v_norm for s in sols]
+    assert rep["uniform_bound"] == max(s.sup_norm + s.v_norm for s in sols)
+    assert rep["kept"] is None
+
+
+@pytest.mark.parametrize("planes", [1, 3, None], ids=["one-plane", "three-planes", "whole"])
+def test_write_field_does_not_depend_on_the_slabs(monkeypatch, tmp_path, planes):
+    g = GridSpec(2, 4.0, 8, 0.0, 0.5, 6)
+    values = np.random.default_rng(5).standard_normal((g.nt, 2, 8, 8))
+    fields = {
+        "contiguous": SpaceTimeField(g, values[:, 0], 1),
+        "reversed": SpaceTimeField(g, values[::-1, 1], 1),
+        "stride-0": bump_source(g),
+        "vector": SpaceTimeField(g, values, 2),
+    }
+    if planes is not None:
+        monkeypatch.setattr(grids, "SLAB_NODES", planes * 8**2)
+    for name, field in fields.items():
+        write_field(tmp_path / name, field)
+        payload = (tmp_path / name).read_bytes()[-field.values.nbytes:]
+        assert payload == np.ascontiguousarray(field.values, dtype="<f8").tobytes(), name
+        assert np.array_equal(read_field(tmp_path / name).values, field.values), name
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("scheme", ["implicit", "cn"])
+def test_stride_zero_source_solves_as_tiled(direction, scheme):
+    g = GridSpec(2, 4.0, 16, 0.0, 0.5, 20)
+    b = radial_drift(0.5, 2, 0.1)
+    view, tiled = bump_source(g), bump_source(g, tiled=True)
+    assert view.values.strides[0] == 0 and tiled.values.strides[0] != 0
+    one, other = (solve(PDEProblem(b, f, g, direction), SolverConfig(scheme))
+                  for f in (view, tiled))
+    assert np.array_equal(one.u.values, other.u.values)
+    assert (one.sup_norm, one.v_norm, one.residual) \
+        == (other.sup_norm, other.v_norm, other.residual)
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_crank_nicolson_residual_is_its_own_defect(direction):
+    g = GridSpec(2, 4.0, 32, 0.0, 0.5, 20)
+    prob = PDEProblem(radial_drift(0.5, 2, 0.1), bump_source(g), g, direction)
+    residual = solve(prob, SolverConfig("cn")).residual
+    # the CN relation holds to round-off; the implicit relation is off by about 0.1 here
+    assert 0.0 < residual < 1e-10
+
+
+def test_sweep_keeps_the_level_sweep_level_of_names():
+    g = GridSpec(2, 4.0, 16, 0.0, 0.5, 20)
+    levels = [0.4, 0.2, 0.1, 0.05]
+    problem = PDEProblem(radial_drift(0.5, 2, 0.1), bump_source(g), g, "backward")
+    level = sweep_level_of(problem, None, levels)
+    assert level == 2
+    kept = stability_sweep(problem.drift, levels, problem.source, g, "backward", keep=level)["kept"]
+    alone = solve(problem)
+    assert np.array_equal(kept.u.values, alone.u.values)
+    assert (kept.sup_norm, kept.v_norm, kept.residual) == (alone.sup_norm, alone.v_norm,
+                                                           alone.residual)
+
+
+def test_sweep_traced_peak_is_at_most_three_solutions():
+    # radial-c0.5-sweep's grid, drift, source, ladder, direction and kept level
+    g = GridSpec(2, 4.0, 64, 0.0, 0.5, 100)
+    f = bump_source(g)
+    solution_bytes = g.nt * 64**2 * 8
+    tracemalloc.start()
+    try:
+        stability_sweep(radial_drift(0.5, 2, 0.1), [0.4, 0.2, 0.1, 0.05], f, g, "backward", keep=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # two levels held, plus the step operator's assembly and the slab temporaries
+    assert peak <= 3 * solution_bytes
 
 
 def test_stability_sweep_rejects_non_refining_ladder():
