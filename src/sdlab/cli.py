@@ -193,11 +193,16 @@ _SOURCES = {"ones": lambda: _ones, "bump": _bump}
 
 
 def _pde(drift, source, grid, *, direction: str = "backward", scheme: str = "implicit"):
-    return pde_mod.PDEProblem(drift, source, grid, direction), pde_mod.SolverConfig(scheme)
+    return pde_mod.PDEProblem(drift, source, grid, direction, scheme)
 
 
-def _sweep(*, eps_levels: list[float]) -> list:
-    return pde_mod.check_eps_levels(eps_levels)
+def _sweep(drift, kind, *, eps_levels: list[float]) -> list:
+    levels = pde_mod.check_eps_levels(eps_levels)
+    # a drift without a mollification family would solve one problem at every level
+    if drift.mollifier is None:
+        raise ValueError(f"refines the drift's mollification: needs drift kind 'radial' or "
+                         f"'lattice', got {kind!r}")
+    return levels
 
 
 def _whole_steps(what: str, span: float, dt: float) -> None:
@@ -225,9 +230,9 @@ class Run:
 
     name: str
     seed: int
-    problem: pde_mod.PDEProblem  # grid, mollified drift, source field and direction of every stage
+    problem: pde_mod.PDEProblem  # grid, mollified drift, source field, direction and scheme
     source: typing.Callable  # the source profile f(t, X) that problem.source samples
-    pde: pde_mod.SolverConfig | None = None
+    pde: bool = False  # whether the pde stage solves problem
     sweep: list | None = None  # mollification levels
     ensemble: sde_mod.EnsembleConfig | None = None
     verifiers: tuple = ()  # (stage the check takes the output of, or None; check)
@@ -264,12 +269,13 @@ def _config(*, schema_version: int, grid: dict, drift: dict, name: str = "unname
     values = profile(spec.time_start, spec.nodes()).reshape(spec.spatial_shape())
     sampled = SpaceTimeField(spec, np.broadcast_to(values, (spec.nt, *values.shape)), 1)
     # the sweep solves in the pde section's direction even when nothing else is solved
-    (problem, solver), keys = _bind("pde", _pde, pde or {}, b, sampled, spec)
+    problem, keys = _bind("pde", _pde, pde or {}, b, sampled, spec)
     stages = {}
     if pde is not None:
-        stages["pde"], resolved["pde"] = solver, keys
+        stages["pde"], resolved["pde"] = True, keys
     if sweep is not None:
-        stages["sweep"], resolved["sweep"] = _bind("sweep", _sweep, sweep)
+        stages["sweep"], resolved["sweep"] = _bind("sweep", _sweep, sweep, b,
+                                                   resolved["drift"]["kind"])
     if ensemble is not None:
         stages["ensemble"], resolved["ensemble"] = _bind("ensemble", _ensemble, ensemble,
                                                          b, seed, diffusion)
@@ -443,8 +449,8 @@ def _run_config(run: Run, outdir: Path) -> dict:
     outputs = {None: None}
     problem = run.problem
     # the sweep level, if any, whose solve the pde stage takes
-    level = (None if run.sweep is None or run.pde is None
-             else pde_mod.sweep_level_of(problem, run.pde, run.sweep))
+    level = (None if run.sweep is None or not run.pde
+             else pde_mod.sweep_level_of(problem, run.sweep))
     if run.sweep is not None:
         # mollified(eps) rebuilds the drift from its family, so the run's
         # mollified drift serves as the sweep's base
@@ -452,8 +458,8 @@ def _run_config(run: Run, outdir: Path) -> dict:
             problem.drift, run.sweep, problem.source, problem.grid, direction=problem.direction,
             keep=level)
 
-    if run.pde is not None:
-        solution = outputs["pde"] = (pde_mod.solve(problem, run.pde) if level is None
+    if run.pde:
+        solution = outputs["pde"] = (pde_mod.solve(problem) if level is None
                                      else sweep["kept"])
         path = outdir / "solution.sdlf"
         write_field(path, solution.u)

@@ -32,25 +32,19 @@ class PDEProblem:
     source: SpaceTimeField
     grid: GridSpec
     direction: str = "forward"  # forward: u(t0)=0; backward: u(t1)=0
+    scheme: str = "implicit"  # implicit | cn
 
     def __post_init__(self):
         if self.direction not in ("forward", "backward"):
             raise ValueError(f"unknown direction {self.direction!r}")
+        if self.scheme not in ("implicit", "cn"):
+            raise ValueError(f"unknown scheme {self.scheme!r}")
         if not self.drift.mollification_level > 0:
             raise ValueError("solver requires a regularized drift (mollification_level > 0)")
         if self.source.grid != self.grid:
             raise ValueError("source grid does not match problem grid")
         if not self.source.is_scalar:
             raise ValueError("source must be scalar")
-
-
-@dataclass
-class SolverConfig:
-    scheme: str = "implicit"  # implicit | cn
-
-    def __post_init__(self):
-        if self.scheme not in ("implicit", "cn"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 @dataclass
@@ -61,48 +55,36 @@ class SolutionBundle:
     residual: float
 
 
-def _neighbor_indices(grid: GridSpec):
-    idx = np.arange(grid.points_per_axis**grid.spatial_dim).reshape(grid.spatial_shape())
-    plus, minus = [], []
-    for ax in range(grid.spatial_dim):
-        plus.append(np.roll(idx, -1, axis=ax).ravel())
-        minus.append(np.roll(idx, 1, axis=ax).ravel())
-    return idx.ravel(), plus, minus
-
-
 def build_operator(grid: GridSpec, b_nodes: np.ndarray) -> sp.csr_matrix:
     """Sparse discretization of Lap + b.grad with upwind advection.
 
     ``b_nodes`` has shape (n, d).  Off-diagonals are nonnegative and row
-    sums vanish, so I - dt*A is an M-matrix for any dt > 0.
+    sums vanish, so I - dt*A is an M-matrix for any dt > 0.  Each row
+    holds the 2d+1 stencil entries, distinct columns for N >= 4, filled
+    straight into CSR arrays with the columns sorted.
     """
-    n = grid.points_per_axis**grid.spatial_dim
-    h = grid.h
-    rows, cols, data = [], [], []
-    center, plus, minus = _neighbor_indices(grid)
+    d, h = grid.spatial_dim, grid.h
+    n, k = grid.points_per_axis**d, 2 * d + 1
+    index = np.int32 if n * k <= np.iinfo(np.int32).max else np.int64
+    idx = np.arange(n, dtype=index).reshape(grid.spatial_shape())
+    cols, data = np.empty((n, k), dtype=index), np.empty((n, k))
+    cols[:, 0] = idx.ravel()
     diag = np.zeros(n)
-    for ax in range(grid.spatial_dim):
-        # Laplacian
-        rows += [center, center]
-        cols += [plus[ax], minus[ax]]
-        data += [np.full(n, 1.0 / h**2), np.full(n, 1.0 / h**2)]
+    for ax in range(d):
+        # Laplacian plus upwind advection: b>0 pulls from the +1 neighbor
+        bp = np.maximum(b_nodes[:, ax], 0.0)
+        bm = np.minimum(b_nodes[:, ax], 0.0)
+        cols[:, 2 * ax + 1] = np.roll(idx, -1, axis=ax).ravel()
+        cols[:, 2 * ax + 2] = np.roll(idx, 1, axis=ax).ravel()
+        data[:, 2 * ax + 1] = 1.0 / h**2 + bp / h
+        data[:, 2 * ax + 2] = 1.0 / h**2 - bm / h
         diag -= 2.0 / h**2
-        # upwind advection: b>0 pulls from the +1 neighbor
-        bj = b_nodes[:, ax]
-        bp = np.maximum(bj, 0.0)
-        bm = np.minimum(bj, 0.0)
-        rows += [center, center]
-        cols += [plus[ax], minus[ax]]
-        data += [bp / h, -bm / h]
         diag -= (bp - bm) / h
-    rows.append(center)
-    cols.append(center)
-    data.append(diag)
-    A = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    return A.tocsr()
+    data[:, 0] = diag
+    order = np.argsort(cols, axis=1)
+    return sp.csr_matrix((np.take_along_axis(data, order, 1).ravel(),
+                          np.take_along_axis(cols, order, 1).ravel(),
+                          np.arange(0, n * k + 1, k, dtype=index)), shape=(n, n))
 
 
 def _factor(M: sp.spmatrix):
@@ -117,7 +99,7 @@ def _factor(M: sp.spmatrix):
                      options={"SymmetricMode": True})
 
 
-def solve(problem: PDEProblem, config: SolverConfig | None = None) -> SolutionBundle:
+def solve(problem: PDEProblem) -> SolutionBundle:
     """March the problem over the grid's time interval.
 
     The backward problem is reduced to the forward one by the
@@ -125,7 +107,6 @@ def solve(problem: PDEProblem, config: SolverConfig | None = None) -> SolutionBu
     marked ``time_dependent`` is sampled at every step; any other at the
     first step only.
     """
-    config = config or SolverConfig()
     grid = problem.grid
     n = grid.points_per_axis**grid.spatial_dim
     dt = grid.dt
@@ -146,7 +127,7 @@ def solve(problem: PDEProblem, config: SolverConfig | None = None) -> SolutionBu
     def step_operators(b):
         """(A, factored implicit matrix, explicit matrix) of one step with drift samples b."""
         A = build_operator(grid, b)
-        if config.scheme == "implicit":
+        if problem.scheme == "implicit":
             return A, _factor(ident - dt * A), None
         return A, _factor(ident - 0.5 * dt * A), ident + 0.5 * dt * A
 
@@ -161,7 +142,7 @@ def solve(problem: PDEProblem, config: SolverConfig | None = None) -> SolutionBu
         old = u[rows[k]]
         # each step's solve, and the discrete defect of its relation (solver
         # consistency, not discretization error)
-        if config.scheme == "implicit":
+        if problem.scheme == "implicit":
             new = u[rows[k + 1]] = lu.solve(old + dt * fvals[k])
             r = (new - old) / dt - A @ new - fvals[k]
         else:
@@ -293,12 +274,17 @@ def stability_sweep(
 ) -> dict:
     """Solve at each mollification level with the implicit scheme; report Cauchy behavior.
 
+    ``base_drift`` must have a mollification family (``mollifier``):
+    without one every level would solve the same problem.
+
     Distances are L^2 norms of consecutive differences on the central
     compact sub-box |x_i| <= L/4, time in [t0, t1].  Only the previous
     level's solution is held, and the one at index ``keep``, returned as
     "kept" (None without ``keep``).
     """
     eps_levels = check_eps_levels(eps_levels)
+    if base_drift.mollifier is None:
+        raise ValueError(f"a {base_drift.provenance} drift has no mollification family to refine")
     prev = kept = None
     norms, dists = [], []
     for i, eps in enumerate(eps_levels):
@@ -326,19 +312,18 @@ def stability_sweep(
     }
 
 
-def sweep_level_of(problem: PDEProblem, config: SolverConfig | None, eps_levels) -> int | None:
-    """Index of the ``stability_sweep`` level whose solve is ``solve(problem, config)``, if any.
+def sweep_level_of(problem: PDEProblem, eps_levels) -> int | None:
+    """Index of the ``stability_sweep`` level whose solve is ``solve(problem)``, if any.
 
     Run on ``problem``'s drift, source, grid and direction, the sweep
-    solves ``problem.drift.mollified(eps)`` with the default config: that
-    is ``problem`` itself at the drift's own level, and at every level for
-    a drift whose mollifier returns the drift itself.
+    solves ``problem.drift.mollified(eps)`` with the implicit scheme: that
+    is ``problem`` itself at the drift's own level, if ``problem`` is
+    implicit.
     """
-    if (config or SolverConfig()) != SolverConfig():
+    if problem.scheme != "implicit":
         return None
-    b = problem.drift
     for i, eps in enumerate(check_eps_levels(eps_levels)):
-        if eps == b.mollification_level or b.mollified(eps) is b:
+        if eps == problem.drift.mollification_level:
             return i
     return None
 
