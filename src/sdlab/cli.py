@@ -332,8 +332,16 @@ def _max_principle(solution) -> dict:
 
 def _stability(sweep) -> dict:
     d = sweep["distances"]
-    return {"name": "stability", "passed": all(b < a for a, b in zip(d, d[1:])) and len(d) >= 1,
+    return {"name": "stability", "passed": all(b < a for a, b in zip(d, d[1:])),
             "distances": d, "uniform_bound": sweep["uniform_bound"]}
+
+
+def _stability_of(run):
+    # two levels give one distance, which falls below nothing: the verdict could not fail
+    if len(run.sweep) < 3:
+        raise ValueError(f"judges each distance against the one before: needs at least three "
+                         f"sweep.eps_levels, got {len(run.sweep)}")
+    return _stability
 
 
 # the checks below need the run and their own keys: their builders return them.  Each
@@ -386,7 +394,7 @@ VERIFIERS = {
     "density-ks": (_zero_drift_only(_density_ks), "ensemble"),
     "max-principle": (lambda run: _max_principle, "pde"),
     "feynman-kac": (_feynman_kac, "pde"),
-    "stability": (lambda run: _stability, "sweep"),
+    "stability": (_stability_of, "sweep"),
     "krylov": (_krylov, None),
 }
 
@@ -446,21 +454,15 @@ def _run_config(run: Run, outdir: Path) -> dict:
     def artifact(name, path: Path):
         manifest["artifacts"][name] = {"path": str(path), "sha256": _sha256(path)}
 
-    outputs = {None: None}
-    problem = run.problem
-    # the sweep level, if any, whose solve the pde stage takes
-    level = (None if run.sweep is None or not run.pde
-             else pde_mod.sweep_level_of(problem, run.sweep))
+    outputs, kept = {None: None}, None
     if run.sweep is not None:
-        # mollified(eps) rebuilds the drift from its family, so the run's
-        # mollified drift serves as the sweep's base
-        sweep = outputs["sweep"] = pde_mod.stability_sweep(
-            problem.drift, run.sweep, problem.source, problem.grid, direction=problem.direction,
-            keep=level)
+        sweep = outputs["sweep"] = pde_mod.stability_sweep(run.problem, run.sweep)
+        kept = sweep.pop("kept")  # the level that is the run's own problem, if any
+        if not run.pde:
+            kept = None  # no stage takes it: drop it rather than hold it
 
     if run.pde:
-        solution = outputs["pde"] = (pde_mod.solve(problem) if level is None
-                                     else sweep["kept"])
+        solution = outputs["pde"] = pde_mod.solve(run.problem) if kept is None else kept
         path = outdir / "solution.sdlf"
         write_field(path, solution.u)
         artifact("solution", path)

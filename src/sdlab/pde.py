@@ -4,11 +4,13 @@ Diffusion is treated implicitly; advection uses first-order upwinding
 inside the implicit operator, so every step inverts an M-matrix and the
 discrete comparison principle (f >= 0 implies u >= 0) holds exactly.
 A Crank-Nicolson variant is available for smooth accuracy studies.
+``stability_sweep`` solves one problem along a ladder of mollification
+levels of its drift, and hands back the level that is the problem itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,7 +53,6 @@ class PDEProblem:
 class SolutionBundle:
     u: SpaceTimeField
     sup_norm: float
-    v_norm: float
     residual: float
 
 
@@ -151,11 +152,9 @@ def solve(problem: PDEProblem) -> SolutionBundle:
             r = (new - old) / dt - A @ (new + old) * 0.5 - half_f
         residual = max(residual, float(np.abs(r).max()))
 
-    ufield = SpaceTimeField(grid, u.reshape(grid.nt, *grid.spatial_shape()), 1)
     return SolutionBundle(
-        u=ufield,
+        u=SpaceTimeField(grid, u.reshape(grid.nt, *grid.spatial_shape()), 1),
         sup_norm=float(max(u.max(), -u.min())),
-        v_norm=vnorm(ufield),
         residual=residual,
     )
 
@@ -264,68 +263,39 @@ def check_eps_levels(eps_levels) -> list:
     return levels
 
 
-def stability_sweep(
-    base_drift: DriftField,
-    eps_levels,
-    source: SpaceTimeField,
-    grid: GridSpec,
-    direction: str = "forward",
-    keep: int | None = None,
-) -> dict:
-    """Solve at each mollification level with the implicit scheme; report Cauchy behavior.
+def stability_sweep(problem: PDEProblem, eps_levels) -> dict:
+    """Solve ``problem`` at each mollification level of its drift with the implicit scheme.
 
-    ``base_drift`` must have a mollification family (``mollifier``):
-    without one every level would solve the same problem.
-
-    Distances are L^2 norms of consecutive differences on the central
-    compact sub-box |x_i| <= L/4, time in [t0, t1].  Only the previous
-    level's solution is held, and the one at index ``keep``, returned as
-    "kept" (None without ``keep``).
+    The drift must have a mollification family (``mollifier``): without
+    one every level would solve the same problem.  Distances are L^2
+    norms of consecutive differences on the central compact sub-box
+    |x_i| <= L/4, time in [t0, t1].  Only the previous level's solution
+    is held, and the level that is ``solve(problem)``, returned as
+    "kept": the one at the drift's own mollification level, if
+    ``problem`` is implicit (None otherwise, or off the ladder).
     """
     eps_levels = check_eps_levels(eps_levels)
-    if base_drift.mollifier is None:
-        raise ValueError(f"a {base_drift.provenance} drift has no mollification family to refine")
+    drift = problem.drift
+    if drift.mollifier is None:
+        raise ValueError(f"a {drift.provenance} drift has no mollification family to refine")
     prev = kept = None
-    norms, dists = [], []
-    for i, eps in enumerate(eps_levels):
-        sol = solve(PDEProblem(base_drift.mollified(eps), source, grid, direction))
-        norms.append((sol.sup_norm, sol.v_norm))
+    sups, vs, dists = [], [], []
+    for eps in eps_levels:
+        sol = solve(replace(problem, drift=drift.mollified(eps), scheme="implicit"))
+        sups.append(sol.sup_norm)
+        vs.append(vnorm(sol.u))
         if prev is not None:
             dists.append(_central_distance(prev.u, sol.u))
         prev = sol
-        if i == keep:
+        if eps == drift.mollification_level and problem.scheme == "implicit":
             kept = sol
-
-    # geometric Cauchy-rate fit: log dist vs level index
-    rate = np.nan
-    if len(dists) >= 2 and all(d > 0 for d in dists):
-        slope = np.polyfit(np.arange(len(dists)), np.log(dists), 1)[0]
-        rate = float(np.exp(slope))
     return {
-        "eps_levels": eps_levels,
         "distances": dists,
-        "cauchy_rate": rate,
-        "sup_norms": [sup for sup, _ in norms],
-        "v_norms": [v for _, v in norms],
-        "uniform_bound": max(sup + v for sup, v in norms),
+        "sup_norms": sups,
+        "v_norms": vs,
+        "uniform_bound": max(s + v for s, v in zip(sups, vs)),
         "kept": kept,
     }
-
-
-def sweep_level_of(problem: PDEProblem, eps_levels) -> int | None:
-    """Index of the ``stability_sweep`` level whose solve is ``solve(problem)``, if any.
-
-    Run on ``problem``'s drift, source, grid and direction, the sweep
-    solves ``problem.drift.mollified(eps)`` with the implicit scheme: that
-    is ``problem`` itself at the drift's own level, if ``problem`` is
-    implicit.
-    """
-    if problem.scheme != "implicit":
-        return None
-    for i, eps in enumerate(check_eps_levels(eps_levels)):
-        if eps == problem.drift.mollification_level:
-            return i
-    return None
 
 
 def _central_distance(a: SpaceTimeField, b: SpaceTimeField) -> float:

@@ -230,8 +230,8 @@ def test_criterion_07_krylov_scaling():
 
 def test_criterion_09_stability():
     grid = GridSpec(2, 4.0, 64, 0.0, 0.5, 50)
-    rep = stability_sweep(radial_drift(0.5, 2), [0.4, 0.2, 0.1, 0.05],
-                          _bump_source(grid, 0.5), grid)
+    rep = stability_sweep(PDEProblem(radial_drift(0.5, 2, 0.4), _bump_source(grid, 0.5), grid),
+                          [0.4, 0.2, 0.1, 0.05])
     d = rep["distances"]
     dec_ok = all(b < a for a, b in zip(d, d[1:]))
     sups = np.array(rep["sup_norms"])
@@ -356,9 +356,11 @@ def test_criterion_12_negative_controls():
     # seeded fault 2: a ladder that skips mollification refinement
     grid = GridSpec(2, 4.0, 32, 0.0, 0.5, 20)
     with pytest.raises(ValueError):
-        stability_sweep(radial_drift(0.5, 2), [0.4, 0.4, 0.4], _bump_source(grid, 0.5), grid)
+        stability_sweep(PDEProblem(radial_drift(0.5, 2, 0.4), _bump_source(grid, 0.5), grid),
+                        [0.4, 0.4, 0.4])
     with pytest.raises(ValueError):
-        stability_sweep(radial_drift(0.5, 2), [0.2, 0.4], _bump_source(grid, 0.5), grid)
+        stability_sweep(PDEProblem(radial_drift(0.5, 2, 0.2), _bump_source(grid, 0.5), grid),
+                        [0.2, 0.4])
     _report(12, fault1_detected,
             f"unit-diffusion variance {m:.4f} flagged (nominal 2(t-s)=1.0); "
             "non-refining ladders rejected")

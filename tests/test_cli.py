@@ -336,6 +336,12 @@ VALUE_FAULTS = {
                       "(density-ks): checks the law of b = 0: needs drift kind 'zero', "
                       "got 'linear'"),
     "rising-ladder": (lambda c: c.update(sweep={"eps_levels": [0.1, 0.2]}), "eps_levels"),
+    # two levels give one distance, so "each distance below the one before" cannot fail
+    "stability-two-levels": (lambda c: c.update(drift={"kind": "radial", "c": 0.5},
+                                                sweep={"eps_levels": [0.4, 0.2]},
+                                                verifiers=[{"name": "stability"}]),
+                             "verifiers[0] (stability): judges each distance against the one "
+                             "before: needs at least three sweep.eps_levels, got 2"),
     # a drift without a mollification family solves one problem at every sweep level
     "sweep-zero": (lambda c: c.update(sweep={"eps_levels": [0.4, 0.2]}),
                    "sweep: refines the drift's mollification: needs drift kind 'radial' or "
@@ -421,13 +427,24 @@ def test_reused_sweep_solution_is_the_standalone_solve(tmp_path, drift):
         "drift": drift, "source": {"kind": "bump"}, "pde": {},
         "sweep": {"eps_levels": [0.4, 0.1, 0.05]}, "verifiers": [{"name": "stability"}],
     })
-    assert pde_mod.sweep_level_of(run.problem, run.sweep) is not None
     manifest = _run_config(run, tmp_path)
     alone = pde_mod.solve(run.problem)
     assert np.array_equal(read_field(tmp_path / "solution.sdlf").values, alone.u.values)
     stage = manifest["stages"][0]
     assert (stage["stage"], stage["sup_norm"], stage["residual"]) \
         == ("pde", alone.sup_norm, alone.residual)
+
+
+def test_sweep_without_pde_stage_solves_each_level_once(monkeypatch, tmp_path):
+    cfg = copy.deepcopy(SCENARIOS["radial-c0.5-sweep"])
+    del cfg["pde"]
+    cfg["verifiers"] = [{"name": "stability"}]
+    real, calls = pde_mod.solve, []
+    monkeypatch.setattr(pde_mod, "solve", lambda *a, **k: calls.append(a) or real(*a, **k))
+    manifest = _run_config(validate_config_data(cfg), tmp_path)
+    assert len(calls) == len(cfg["sweep"]["eps_levels"])
+    assert not (tmp_path / "solution.sdlf").exists()
+    assert [s["stage"] for s in manifest["stages"]] == ["sweep", "ensemble"]
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -17,7 +17,8 @@ from sdlab.drifts import (
 )
 from sdlab import grids
 from sdlab.grids import GridSpec, SpaceTimeField, read_field, write_field
-from sdlab.norms import NormSpec
+from sdlab import pde as pde_mod
+from sdlab.norms import NormSpec, vnorm
 from sdlab.pde import (
     PDEProblem,
     _central_mask,
@@ -27,7 +28,6 @@ from sdlab.pde import (
     max_principle_violations,
     solve,
     stability_sweep,
-    sweep_level_of,
 )
 
 
@@ -174,19 +174,18 @@ def test_vnorm_and_sup_reported():
     g = GridSpec(1, 2.0, 64, 0.0, 0.3, 30)
     sol = solve(PDEProblem(zero_drift(1).mollified(1.0), ones_source(g), g))
     assert sol.sup_norm == pytest.approx(0.3, abs=1e-12)
-    assert sol.v_norm > 0
+    assert vnorm(sol.u) > 0
 
 
 def test_stability_sweep_cauchy():
     g = GridSpec(2, 4.0, 64, 0.0, 0.5, 50)
     rho2 = sum(m**2 for m in g.meshgrid())
     f = SpaceTimeField(g, np.tile(np.exp(-rho2 / 0.25), (g.nt, 1, 1)), 1)
-    rep = stability_sweep(radial_drift(0.5, 2), [0.4, 0.2, 0.1, 0.05], f, g)
+    rep = stability_sweep(PDEProblem(radial_drift(0.5, 2, 0.4), f, g), [0.4, 0.2, 0.1, 0.05])
     d = rep["distances"]
     assert len(d) == 3
     assert all(b < a for a, b in zip(d, d[1:]))
     assert np.isfinite(rep["uniform_bound"])
-    assert rep["cauchy_rate"] < 1.0
 
 
 def bump_source(grid, tiled=False):
@@ -212,11 +211,12 @@ def test_sweep_does_not_depend_on_the_slabs(monkeypatch, planes, direction):
                                                 g.times))))
     if planes is not None:
         monkeypatch.setattr(grids, "SLAB_NODES", planes * 16**2)
-    rep = stability_sweep(b, levels, f, g, direction)
+    # the problem's own level, 1.0, is off the ladder
+    rep = stability_sweep(PDEProblem(b.mollified(1.0), f, g, direction), levels)
     assert rep["distances"] == dists
     assert rep["sup_norms"] == [s.sup_norm for s in sols]
-    assert rep["v_norms"] == [s.v_norm for s in sols]
-    assert rep["uniform_bound"] == max(s.sup_norm + s.v_norm for s in sols)
+    assert rep["v_norms"] == [vnorm(s.u) for s in sols]
+    assert rep["uniform_bound"] == max(s.sup_norm + vnorm(s.u) for s in sols)
     assert rep["kept"] is None
 
 
@@ -249,8 +249,8 @@ def test_stride_zero_source_solves_as_tiled(direction, scheme):
     one, other = (solve(PDEProblem(b, f, g, direction, scheme))
                   for f in (view, tiled))
     assert np.array_equal(one.u.values, other.u.values)
-    assert (one.sup_norm, one.v_norm, one.residual) \
-        == (other.sup_norm, other.v_norm, other.residual)
+    assert (one.sup_norm, vnorm(one.u), one.residual) \
+        == (other.sup_norm, vnorm(other.u), other.residual)
 
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])
@@ -262,17 +262,34 @@ def test_crank_nicolson_residual_is_its_own_defect(direction):
     assert 0.0 < residual < 1e-10
 
 
-def test_sweep_keeps_the_level_sweep_level_of_names():
+def test_sweep_keeps_the_problems_own_level():
     g = GridSpec(2, 4.0, 16, 0.0, 0.5, 20)
     levels = [0.4, 0.2, 0.1, 0.05]
     problem = PDEProblem(radial_drift(0.5, 2, 0.1), bump_source(g), g, "backward")
-    level = sweep_level_of(problem, levels)
-    assert level == 2
-    kept = stability_sweep(problem.drift, levels, problem.source, g, "backward", keep=level)["kept"]
+    rep = stability_sweep(problem, levels)
+    kept = rep["kept"]
     alone = solve(problem)
+    assert rep["sup_norms"][2] == alone.sup_norm
     assert np.array_equal(kept.u.values, alone.u.values)
-    assert (kept.sup_norm, kept.v_norm, kept.residual) == (alone.sup_norm, alone.v_norm,
-                                                           alone.residual)
+    assert (kept.sup_norm, vnorm(kept.u), kept.residual) == (alone.sup_norm, vnorm(alone.u),
+                                                             alone.residual)
+
+
+def test_cn_problem_sweeps_implicit_levels_and_keeps_nothing(monkeypatch):
+    g = GridSpec(2, 4.0, 16, 0.0, 0.5, 20)
+    levels = [0.4, 0.2, 0.1]
+    problem = PDEProblem(radial_drift(0.5, 2, 0.1), bump_source(g), g, "backward", "cn")
+    real, solved = pde_mod.solve, []
+    monkeypatch.setattr(pde_mod, "solve", lambda p: solved.append(real(p)) or solved[-1])
+    rep = stability_sweep(problem, levels)
+    assert rep["kept"] is None
+    implicit = [real(replace(problem, drift=radial_drift(0.5, 2, eps), scheme="implicit"))
+                for eps in levels]
+    assert len(solved) == len(levels)
+    for level, alone in zip(solved, implicit):
+        assert np.array_equal(level.u.values, alone.u.values)
+        assert (level.sup_norm, level.residual) == (alone.sup_norm, alone.residual)
+    assert rep["sup_norms"] == [s.sup_norm for s in implicit]
 
 
 def test_sweep_traced_peak_is_at_most_three_solutions():
@@ -282,7 +299,8 @@ def test_sweep_traced_peak_is_at_most_three_solutions():
     solution_bytes = g.nt * 64**2 * 8
     tracemalloc.start()
     try:
-        stability_sweep(radial_drift(0.5, 2, 0.1), [0.4, 0.2, 0.1, 0.05], f, g, "backward", keep=2)
+        stability_sweep(PDEProblem(radial_drift(0.5, 2, 0.1), f, g, "backward"),
+                        [0.4, 0.2, 0.1, 0.05])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -294,7 +312,7 @@ def test_stability_sweep_rejects_non_refining_ladder():
     g = GridSpec(2, 4.0, 32, 0.0, 0.25, 20)
     f = ones_source(g)
     with pytest.raises(ValueError):
-        stability_sweep(radial_drift(0.5, 2), [0.4, 0.4, 0.4], f, g)
+        stability_sweep(PDEProblem(radial_drift(0.5, 2, 0.4), f, g), [0.4, 0.4, 0.4])
 
 
 @pytest.mark.parametrize("drift", [zero_drift(2), linear_drift(1.0, 2)], ids=["zero", "linear"])
@@ -302,7 +320,7 @@ def test_stability_sweep_rejects_drift_without_family(drift):
     # mollified(eps) returns such a drift itself: every level would solve one problem
     g = GridSpec(2, 4.0, 16, 0.0, 0.25, 10)
     with pytest.raises(ValueError, match="no mollification family"):
-        stability_sweep(drift.mollified(1.0), [0.4, 0.1, 0.05], ones_source(g), g)
+        stability_sweep(PDEProblem(drift.mollified(1.0), ones_source(g), g), [0.4, 0.1, 0.05])
 
 
 def test_energy_monitor_report():
