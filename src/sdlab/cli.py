@@ -341,6 +341,10 @@ def _stability_of(run):
     if len(run.sweep) < 3:
         raise ValueError(f"judges each distance against the one before: needs at least three "
                          f"sweep.eps_levels, got {len(run.sweep)}")
+    # with f constant in space, u = t (or T - t) at every level: the distances are round-off
+    if np.ptp(run.problem.source.values[0]) == 0:
+        raise ValueError("needs a source that varies in space: under a constant one the "
+                         "solution does not depend on the drift")
     return _stability
 
 
@@ -513,9 +517,9 @@ def _load(scenario, config_path) -> Run:
     """The run of a built-in scenario or of a YAML file; on a bad config, exit 2 with the reason."""
     try:
         data = SCENARIOS[scenario] if config_path is None else yaml.safe_load(
-            Path(config_path).read_text())
+            Path(config_path).read_text(encoding="utf-8"))
         return validate_config_data(data)
-    except (yaml.YAMLError, ConfigError) as exc:
+    except (OSError, UnicodeDecodeError, yaml.YAMLError, ConfigError) as exc:
         click.echo(f"invalid: {exc}", err=True)
         raise SystemExit(2)
 

@@ -6,6 +6,8 @@ discrete comparison principle (f >= 0 implies u >= 0) holds exactly.
 A Crank-Nicolson variant is available for smooth accuracy studies.
 ``stability_sweep`` solves one problem along a ladder of mollification
 levels of its drift, and hands back the level that is the problem itself.
+scipy.sparse is loaded by the first call that assembles or factors a
+matrix; each call reads ``spla`` from the module, where a profiler may swap it.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from sdlab.drifts import DriftField
 from sdlab.grids import GridSpec, SpaceTimeField, slabs
@@ -26,6 +26,20 @@ from sdlab.norms import (
     spatial_gradient,
     vnorm,
 )
+
+
+def _load_scipy() -> None:
+    """Bind ``sp`` and ``spla`` once; a stand-in ``spla`` bound before stays."""
+    import scipy.sparse.linalg
+    globals().setdefault("sp", scipy.sparse)
+    globals().setdefault("spla", scipy.sparse.linalg)
+
+
+def __getattr__(name: str):  # PEP 562: reading pde.sp or pde.spla before a solve loads them
+    if name not in ("sp", "spla"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_scipy()
+    return globals()[name]
 
 
 @dataclass
@@ -64,6 +78,7 @@ def build_operator(grid: GridSpec, b_nodes: np.ndarray) -> sp.csr_matrix:
     holds the 2d+1 stencil entries, distinct columns for N >= 4, filled
     straight into CSR arrays with the columns sorted.
     """
+    _load_scipy()
     d, h = grid.spatial_dim, grid.h
     n, k = grid.points_per_axis**d, 2 * d + 1
     index = np.int32 if n * k <= np.iinfo(np.int32).max else np.int64
@@ -96,6 +111,7 @@ def _factor(M: sp.spmatrix):
     a minimum-degree ordering of A + A^T applied to rows and columns
     alike needs no row exchange.
     """
+    _load_scipy()
     return spla.splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                      options={"SymmetricMode": True})
 
@@ -108,6 +124,7 @@ def solve(problem: PDEProblem) -> SolutionBundle:
     marked ``time_dependent`` is sampled at every step; any other at the
     first step only.
     """
+    _load_scipy()
     grid = problem.grid
     n = grid.points_per_axis**grid.spatial_dim
     dt = grid.dt

@@ -10,7 +10,8 @@ through every step (drift, update, noise, finiteness check); the stream
 depends on the block size, never on the number of threads, and drifts
 act row by row, so the split changes no bit.  Time integrals of
 path functionals use left-endpoint Riemann sums, which makes the
-f == 1 identities exact rather than approximate.
+f == 1 identities exact rather than approximate.  Only ``normal_ks``
+uses scipy (``scipy.special.ndtr``), and imports it on its first call.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import ndtr
 
 from sdlab.drifts import DriftField, row_dot
 from sdlab.grids import interp_space
@@ -615,6 +615,7 @@ def normal_ks(samples: np.ndarray, mean: float, sd: float) -> float:
     The index arrays are built as scipy's ``kstest`` builds them, so the
     two statistics agree bit for bit.
     """
+    from scipy.special import ndtr
     F = ndtr((np.sort(samples) - mean) / sd)
     n = len(F)
     return float(max((np.arange(1.0, n + 1) / n - F).max(), (F - np.arange(0.0, n) / n).max()))

@@ -2,9 +2,11 @@ import copy
 import itertools
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,7 +27,8 @@ from sdlab.cli import (
     main,
     validate_config_data,
 )
-from sdlab.grids import read_field
+from sdlab.drifts import radial_drift
+from sdlab.grids import GridSpec, SpaceTimeField, read_field
 
 
 @pytest.fixture(scope="module")
@@ -299,11 +302,23 @@ PROBES = {
 }
 
 
-@pytest.mark.parametrize("probe", sorted(PROBES))
+# config paths that hold no UTF-8 text, each with the words its rejection must name
+UNREADABLE = {
+    "directory": (lambda path: path.mkdir(), ["Is a directory", "bad.yaml"]),
+    "utf-16": (lambda path: path.write_text("\ufeffschema_version: 1\n", encoding="utf-16-le"),
+               ["'utf-8' codec", "0xff"]),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(PROBES) + sorted(UNREADABLE))
 def test_bad_config_rejected_before_run(runner, tmp_path, probe):
-    change, words = PROBES[probe]
     path = tmp_path / "bad.yaml"
-    path.write_text(yaml.safe_dump(_probe(change)))
+    if probe in UNREADABLE:
+        write, words = UNREADABLE[probe]
+        write(path)
+    else:
+        change, words = PROBES[probe]
+        path.write_text(yaml.safe_dump(_probe(change)))
     for args in (["validate-config", str(path)],
                  ["run", "--config", str(path), "--out", str(tmp_path / "o")]):
         result = runner.invoke(main, args)
@@ -336,6 +351,12 @@ VALUE_FAULTS = {
                       "(density-ks): checks the law of b = 0: needs drift kind 'zero', "
                       "got 'linear'"),
     "rising-ladder": (lambda c: c.update(sweep={"eps_levels": [0.1, 0.2]}), "eps_levels"),
+    # brownian-baseline's source is f = 1: u = T - t at every level, distances are round-off
+    "stability-constant-source": (lambda c: c.update(drift={"kind": "radial", "c": 0.5},
+                                                     sweep={"eps_levels": [0.4, 0.2, 0.1]},
+                                                     verifiers=[{"name": "stability"}]),
+                                  "verifiers[0] (stability): needs a source that varies in "
+                                  "space"),
     # two levels give one distance, so "each distance below the one before" cannot fail
     "stability-two-levels": (lambda c: c.update(drift={"kind": "radial", "c": 0.5},
                                                 sweep={"eps_levels": [0.4, 0.2]},
@@ -447,11 +468,62 @@ def test_sweep_without_pde_stage_solves_each_level_once(monkeypatch, tmp_path):
     assert [s["stage"] for s in manifest["stages"]] == ["sweep", "ensemble"]
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is most of a fresh interpreter's start-up cost; the CLI does without it
+def _fresh_interpreter(code: str, *args: str) -> tuple[int, list]:
+    """(exit code, the scipy modules loaded) of ``python -c code args`` in a new process."""
     src = str(Path(sdlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, sdlab.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+    report = ("import atexit, json, sys; atexit.register(lambda: print(json.dumps(sorted("
+              "m for m in sys.modules if m.split('.')[0] == 'scipy'))))\n")
+    out = subprocess.run([sys.executable, "-c", report + code, *args], env=env,
+                         capture_output=True, text=True)
+    return out.returncode, json.loads(out.stdout.splitlines()[-1])
+
+
+def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
+    # scipy.sparse and scipy.special cost a fresh interpreter about 0.4 s and 27 MB on a
+    # 2-vCPU VM: sdlab loads the first on its first matrix, the second in normal_ks
+    assert "scipy.stats" not in _fresh_interpreter("import sdlab.cli")[1]
+    modules = sorted(m.name for m in pkgutil.iter_modules(sdlab.__path__))
+    assert {"cli", "pde", "sde"} <= set(modules)
+    assert _fresh_interpreter("".join(f"import sdlab.{m}\n" for m in modules)) == (0, [])
+    cli = "from sdlab.cli import main; main()"
+    path = tmp_path / "baseline.yaml"
+    path.write_text(yaml.safe_dump(SCENARIOS["brownian-baseline"]))
+    assert _fresh_interpreter(cli, "validate-config", str(path)) == (0, [])
+    # unit-diffusion-control fails by design; density-ks loads scipy.special, nothing a PDE needs
+    code, loaded = _fresh_interpreter(cli, "run", "--scenario", "unit-diffusion-control",
+                                      "--out", str(tmp_path / "control"))
+    assert code == 1
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.sparse")]
+
+
+def test_every_factor_goes_through_the_module_spla(monkeypatch):
+    # perfbench's tracer times splu and each factor's solve by swapping pde.spla
+    real, factors, solves = pde_mod.spla, [], []
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            solves.append(rhs)
+            return self.lu.solve(rhs)
+
+    def splu(*args, **kwargs):
+        factors.append(args)
+        return CountingLU(real.splu(*args, **kwargs))
+
+    grid = GridSpec(2, 4.0, 8, 0.0, 0.5, 5)
+    bump = SpaceTimeField.from_function(grid, lambda t, x, y: np.exp(-x**2 - y**2))
+    problem = pde_mod.PDEProblem(radial_drift(0.5, 2, 0.2), bump, grid)
+    monkeypatch.setattr(pde_mod, "spla", types.SimpleNamespace(splu=splu))
+    counted = pde_mod.solve(problem)
+    monkeypatch.undo()
+    assert (len(factors), len(solves)) == (1, grid.time_steps)
+    assert np.array_equal(counted.u.values, pde_mod.solve(problem).u.values)
+    # in a fresh process the first read of pde.spla binds scipy's own module
+    code, loaded = _fresh_interpreter("import sdlab.pde as p\nspla, sp = p.spla, p.sp\n"
+                                      "import scipy.sparse.linalg\n"
+                                      "assert (spla, sp) == (scipy.sparse.linalg, scipy.sparse)")
+    assert code == 0 and "scipy.sparse.linalg" in loaded
