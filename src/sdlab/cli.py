@@ -16,6 +16,7 @@ import hashlib
 import inspect
 import json
 import math
+import re
 import time
 import typing
 from dataclasses import dataclass, field, replace
@@ -192,8 +193,8 @@ def _bump(*, width: float = 0.5):
 _SOURCES = {"ones": lambda: _ones, "bump": _bump}
 
 
-def _pde(drift, source, grid, *, direction: str = "backward", scheme: str = "implicit"):
-    return pde_mod.PDEProblem(drift, source, grid, direction, scheme)
+def _pde(drift, source, grid, *, direction: str = "backward"):
+    return pde_mod.PDEProblem(drift, source, grid, direction)
 
 
 def _sweep(drift, kind, *, eps_levels: list[float]) -> list:
@@ -230,7 +231,7 @@ class Run:
 
     name: str
     seed: int
-    problem: pde_mod.PDEProblem  # grid, mollified drift, source field, direction and scheme
+    problem: pde_mod.PDEProblem  # grid, mollified drift, source field and direction
     source: typing.Callable  # the source profile f(t, X) that problem.source samples
     pde: bool = False  # whether the pde stage solves problem
     sweep: list | None = None  # mollification levels
@@ -513,11 +514,20 @@ def list_scenarios():
                    f"{[v['name'] for v in cfg['verifiers']]}")
 
 
+class _YAMLLoader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 exponent floats, such as 1e3, as floats, not strings."""
+
+
+_YAMLLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
+
+
 def _load(scenario, config_path) -> Run:
     """The run of a built-in scenario or of a YAML file; on a bad config, exit 2 with the reason."""
     try:
-        data = SCENARIOS[scenario] if config_path is None else yaml.safe_load(
-            Path(config_path).read_text(encoding="utf-8"))
+        data = SCENARIOS[scenario] if config_path is None else yaml.load(
+            Path(config_path).read_text(encoding="utf-8"), Loader=_YAMLLoader)
         return validate_config_data(data)
     except (OSError, UnicodeDecodeError, yaml.YAMLError, ConfigError) as exc:
         click.echo(f"invalid: {exc}", err=True)

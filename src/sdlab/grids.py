@@ -151,24 +151,18 @@ class SpaceTimeField:
 
     @staticmethod
     def from_function(grid: GridSpec, fn) -> "SpaceTimeField":
-        """Sample fn(t, *coords) on the grid; fn must broadcast over arrays."""
+        """Sample fn(t, *coords) on the grid; fn must broadcast over arrays.
+
+        A list of arrays from fn gives a field with that many components."""
         mesh = grid.meshgrid()
         slices = []
         for t in grid.times:
             val = fn(t, *mesh)
-            slices.append(np.broadcast_to(val, mesh[0].shape).astype(np.float64))
-        return SpaceTimeField(grid, np.stack(slices), 1)
-
-    @staticmethod
-    def from_vector_function(grid: GridSpec, fn) -> "SpaceTimeField":
-        """fn(t, *coords) -> list of d component arrays."""
-        mesh = grid.meshgrid()
-        slices = []
-        for t in grid.times:
-            comps = fn(t, *mesh)
-            slices.append(np.stack([np.broadcast_to(c, mesh[0].shape) for c in comps]))
-        arr = np.stack(slices).astype(np.float64)
-        return SpaceTimeField(grid, arr, grid.spatial_dim)
+            slices.append([np.broadcast_to(c, mesh[0].shape)
+                           for c in (val if isinstance(val, list) else [val])])
+        values = np.array(slices, dtype=np.float64)  # (nt, components, *spatial)
+        components = values.shape[1]
+        return SpaceTimeField(grid, values[:, 0] if components == 1 else values, components)
 
 
 def interp_space(g: GridSpec, X, data):

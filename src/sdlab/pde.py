@@ -1,9 +1,8 @@
 """Monotone solver for d_t u = Lap u + b.grad u + f on the periodic box.
 
-Diffusion is treated implicitly; advection uses first-order upwinding
-inside the implicit operator, so every step inverts an M-matrix and the
-discrete comparison principle (f >= 0 implies u >= 0) holds exactly.
-A Crank-Nicolson variant is available for smooth accuracy studies.
+Each step solves (I - dt*A) u_{k+1} = u_k + dt*f_k, with diffusion and
+first-order upwind advection both in A, so every step inverts an M-matrix
+and the discrete comparison principle (f >= 0 implies u >= 0) holds exactly.
 ``stability_sweep`` solves one problem along a ladder of mollification
 levels of its drift, and hands back the level that is the problem itself.
 scipy.sparse is loaded by the first call that assembles or factors a
@@ -48,13 +47,10 @@ class PDEProblem:
     source: SpaceTimeField
     grid: GridSpec
     direction: str = "forward"  # forward: u(t0)=0; backward: u(t1)=0
-    scheme: str = "implicit"  # implicit | cn
 
     def __post_init__(self):
         if self.direction not in ("forward", "backward"):
             raise ValueError(f"unknown direction {self.direction!r}")
-        if self.scheme not in ("implicit", "cn"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if not self.drift.mollification_level > 0:
             raise ValueError("solver requires a regularized drift (mollification_level > 0)")
         if self.source.grid != self.grid:
@@ -104,9 +100,9 @@ def build_operator(grid: GridSpec, b_nodes: np.ndarray) -> sp.csr_matrix:
 
 
 def _factor(M: sp.spmatrix):
-    """Sparse LU of a step matrix I - theta*dt*A, ordered to keep the fill low.
+    """Sparse LU of the step matrix I - dt*A, ordered to keep the fill low.
 
-    The stencil is structurally symmetric and I - theta*dt*A is a
+    The stencil is structurally symmetric and I - dt*A is a
     nonsingular M-matrix, so its diagonal pivots exist and are positive:
     a minimum-degree ordering of A + A^T applied to rows and columns
     alike needs no row exchange.
@@ -143,30 +139,23 @@ def solve(problem: PDEProblem) -> SolutionBundle:
     ident = sp.identity(n, format="csr")
 
     def step_operators(b):
-        """(A, factored implicit matrix, explicit matrix) of one step with drift samples b."""
+        """(A, factored I - dt*A) of one step with drift samples b."""
         A = build_operator(grid, b)
-        if problem.scheme == "implicit":
-            return A, _factor(ident - dt * A), None
-        return A, _factor(ident - 0.5 * dt * A), ident + 0.5 * dt * A
+        return A, _factor(ident - dt * A)
 
-    A, lu, E = step_operators(drift_at(0))
+    A, lu = step_operators(drift_at(0))
     u = np.zeros((grid.nt, n))
     # march step k fills row rows[k + 1]: a backward solution is stored in time order
     rows = range(grid.nt)[::-1] if backward else range(grid.nt)
     residual = 0.0
     for k in range(grid.time_steps):
         if k > 0 and problem.drift.time_dependent:
-            A, lu, E = step_operators(drift_at(k))
+            A, lu = step_operators(drift_at(k))
         old = u[rows[k]]
         # each step's solve, and the discrete defect of its relation (solver
         # consistency, not discretization error)
-        if problem.scheme == "implicit":
-            new = u[rows[k + 1]] = lu.solve(old + dt * fvals[k])
-            r = (new - old) / dt - A @ new - fvals[k]
-        else:
-            half_f = 0.5 * (fvals[k] + fvals[k + 1])
-            new = u[rows[k + 1]] = lu.solve(E @ old + dt * half_f)
-            r = (new - old) / dt - A @ (new + old) * 0.5 - half_f
+        new = u[rows[k + 1]] = lu.solve(old + dt * fvals[k])
+        r = (new - old) / dt - A @ new - fvals[k]
         residual = max(residual, float(np.abs(r).max()))
 
     return SolutionBundle(
@@ -281,15 +270,15 @@ def check_eps_levels(eps_levels) -> list:
 
 
 def stability_sweep(problem: PDEProblem, eps_levels) -> dict:
-    """Solve ``problem`` at each mollification level of its drift with the implicit scheme.
+    """Solve ``problem`` at each mollification level of its drift.
 
     The drift must have a mollification family (``mollifier``): without
     one every level would solve the same problem.  Distances are L^2
     norms of consecutive differences on the central compact sub-box
     |x_i| <= L/4, time in [t0, t1].  Only the previous level's solution
     is held, and the level that is ``solve(problem)``, returned as
-    "kept": the one at the drift's own mollification level, if
-    ``problem`` is implicit (None otherwise, or off the ladder).
+    "kept": the one at the drift's own mollification level (None if
+    the ladder does not hold it).
     """
     eps_levels = check_eps_levels(eps_levels)
     drift = problem.drift
@@ -298,13 +287,13 @@ def stability_sweep(problem: PDEProblem, eps_levels) -> dict:
     prev = kept = None
     sups, vs, dists = [], [], []
     for eps in eps_levels:
-        sol = solve(replace(problem, drift=drift.mollified(eps), scheme="implicit"))
+        sol = solve(replace(problem, drift=drift.mollified(eps)))
         sups.append(sol.sup_norm)
         vs.append(vnorm(sol.u))
         if prev is not None:
             dists.append(_central_distance(prev.u, sol.u))
         prev = sol
-        if eps == drift.mollification_level and problem.scheme == "implicit":
+        if eps == drift.mollification_level:
             kept = sol
     return {
         "distances": dists,

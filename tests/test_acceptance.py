@@ -178,7 +178,7 @@ def test_criterion_05_degiorgi_mechanism():
 def test_criterion_06_jacobian_semigroup(tmp_path):
     g = GridSpec(2, 2.0, 32, 0.0, 0.5, 4)
     k = 2 * np.pi / 2.0
-    vel = SpaceTimeField.from_vector_function(
+    vel = SpaceTimeField.from_function(
         g, lambda t, x, y: [np.sin(k * x) * np.cos(k * y), -np.cos(k * x) * np.sin(k * y)]
     )
     path = tmp_path / "divfree.sdlf"

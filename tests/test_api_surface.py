@@ -21,7 +21,6 @@ CALLERS = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "perfbench").glob("*.p
 # (with what only it calls: DensityEstimate, tightness_modulus and the private helpers)
 ALLOWED = {
     "sde.density_estimate": "item 2, the density-duality verifier",
-    "grids.SpaceTimeField.from_function": "item 2, the exponent check's sampled densities",
     "sde.weak_convergence_scan": "item 3, the weak-convergence verifier",
     "pde.energy_monitor": "item 3, the degiorgi verifier",
 }

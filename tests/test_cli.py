@@ -22,6 +22,7 @@ from sdlab.cli import (
     SCENARIOS,
     VERIFIERS,
     ConfigError,
+    _load,
     _null_nonfinite,
     _run_config,
     main,
@@ -98,6 +99,19 @@ def test_validate_config_rejects_unknown_key(runner, tmp_path):
     result = runner.invoke(main, ["validate-config", str(path)])
     assert result.exit_code == 2
     assert "typo_section" in result.output
+
+
+@pytest.mark.parametrize("width, code", [("1e3", 0), ("1E-2", 0), ("'1e3'", 2), (".nan", 2)])
+def test_yaml_exponent_floats_load_as_floats(runner, tmp_path, width, code):
+    # YAML 1.2 reads 1e3 as a float, where YAML 1.1 reads a string
+    path = tmp_path / "width.yaml"
+    path.write_text("schema_version: 1\n"
+                    "grid: {dim: 2, extent: 4.0, points: 8, t0: 0.0, t1: 0.1, steps: 2}\n"
+                    f"drift: {{kind: zero}}\nsource: {{kind: bump, width: {width}}}\n")
+    result = runner.invoke(main, ["validate-config", str(path)])
+    assert result.exit_code == code, result.output
+    if code == 0:
+        assert _load(None, path).resolved["source"]["width"] == float(width)
 
 
 def test_validate_config_rejects_nested_unknown_and_bad_version():
@@ -372,7 +386,9 @@ VALUE_FAULTS = {
                      "sweep: refines the drift's mollification: needs drift kind 'radial' or "
                      "'lattice', got 'linear'"),
     "grid-dim-64": (lambda c: c["grid"].update(dim=64), "grid: spatial_dim"),
-    "imex": (lambda c: c["pde"].update(scheme="imex"), "pde: unknown scheme 'imex'"),
+    # the pde section has one scheme, so no key to choose it
+    "imex": (lambda c: c["pde"].update(scheme="imex"),
+             "pde: unknown key 'scheme' (known: direction)"),
     # the verifiers' own spans must be whole numbers of dt too
     "feynman-kac-off-grid": (lambda c: c["ensemble"].update(horizon=0.48, dt=0.04),
                              "verifiers[2] (feynman-kac): t1 - 0 = 0.5"),
@@ -406,7 +422,7 @@ def test_config_hash_covers_resolved_config(runner, tmp_path):
     }
     explicit = copy.deepcopy(terse)
     explicit.update(name="unnamed", seed=0, source={"kind": "ones"})
-    explicit["pde"].update(direction="backward", scheme="implicit")
+    explicit["pde"].update(direction="backward")
     explicit["ensemble"].update(store_stride=1, start=[0.0, 0.0])
     changed = copy.deepcopy(terse)
     changed["ensemble"]["paths"] = 201
@@ -425,9 +441,8 @@ def test_config_hash_covers_resolved_config(runner, tmp_path):
 
 @pytest.mark.parametrize("section, key, value, solves", [
     (None, None, None, 4),  # the pde stage is the sweep's eps = 0.1 level
-    ("pde", "scheme", "cn", 5),
     ("drift", "eps", 0.15, 5),  # a level the ladder does not hold
-], ids=["default", "cn", "off-ladder"])
+], ids=["default", "off-ladder"])
 def test_sweep_level_serves_the_pde_stage(monkeypatch, tmp_path, section, key, value, solves):
     cfg = copy.deepcopy(SCENARIOS["radial-c0.5-sweep"])
     if section is not None:

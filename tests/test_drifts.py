@@ -82,7 +82,7 @@ def test_frozen_drift_sampled_once():
 
 def _time_varying_external(tmp_path):
     g = GridSpec(2, 2.0, 16, 0.0, 1.0, 10)
-    vel = SpaceTimeField.from_vector_function(
+    vel = SpaceTimeField.from_function(
         g, lambda t, x, y: [np.sin(np.pi * x) * np.cos(3 * t), np.cos(np.pi * y + t)])
     write_field(tmp_path / "b.sdlf", vel)
     return load_external(tmp_path / "b.sdlf")
@@ -364,7 +364,7 @@ def test_lattice_sampled_on_grid_falls_back_near_spikes(alpha):
 def test_external_roundtrip_and_divergence(tmp_path):
     g = GridSpec(2, 2.0, 32, 0.0, 0.5, 4)
     k = 2 * np.pi / 2.0
-    vel = SpaceTimeField.from_vector_function(
+    vel = SpaceTimeField.from_function(
         g, lambda t, x, y: [np.sin(k * x) * np.cos(k * y), -np.cos(k * x) * np.sin(k * y)]
     )
     path = tmp_path / "field.sdlf"

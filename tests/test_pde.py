@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,10 +16,10 @@ from sdlab.drifts import (
 )
 from sdlab import grids
 from sdlab.grids import GridSpec, SpaceTimeField, read_field, write_field
-from sdlab import pde as pde_mod
 from sdlab.norms import NormSpec, vnorm
 from sdlab.pde import (
     PDEProblem,
+    SolutionBundle,
     _central_mask,
     _factor,
     build_operator,
@@ -29,6 +28,19 @@ from sdlab.pde import (
     solve,
     stability_sweep,
 )
+
+
+def explicit_euler(problem):
+    """u_{k+1} = u_k + dt (A u_k + f_k) with A of the drift at t0: not monotone for large dt."""
+    g = problem.grid
+    A = build_operator(g, problem.drift(g.times[0], g.nodes()))
+    f = problem.source.values.reshape(g.nt, -1)
+    march = slice(None, None, -1 if problem.direction == "backward" else 1)
+    f, u = f[march], np.zeros(f.shape)
+    for k in range(g.time_steps):
+        u[k + 1] = u[k] + g.dt * (A @ u[k] + f[k])
+    u = u[march].reshape(g.nt, *g.spatial_shape())
+    return SolutionBundle(SpaceTimeField(g, u, 1), float(np.abs(u).max()), 0.0)
 
 
 def ones_source(grid):
@@ -57,9 +69,7 @@ def test_heat_single_mode_oracle():
     exact = (1 - np.exp(-lam * g.times[:, None])) / lam * np.sin(2 * np.pi * g.axis / 2.0)
     prob = PDEProblem(zero_drift(1).mollified(1.0), f, g)
     err_ie = np.abs(solve(prob).u.values - exact).max()
-    err_cn = np.abs(solve(replace(prob, scheme="cn")).u.values - exact).max()
     assert err_ie < 2e-4  # first order in dt
-    assert err_cn < 2e-5  # second order, down to spatial error
 
 
 def test_maximum_principle_exact():
@@ -79,18 +89,18 @@ def test_maximum_principle_exact():
 
 @pytest.mark.parametrize("direction, slices", [("forward", slice(0, 2)),
                                                ("backward", slice(-2, None))])
-def test_max_principle_flags_crank_nicolson(direction, slices):
+def test_max_principle_flags_explicit_euler(direction, slices):
     # a unit point source on the first two slices the solver marches through, at
-    # dt/h^2 = 12.8: CN's explicit half step I + dt/2 A has diagonal 1 - d dt/h^2 < 0,
-    # so it rings below 0; the implicit scheme is monotone for any dt
+    # dt/h^2 = 12.8: the explicit step I + dt A has diagonal 1 - 2d dt/h^2 < 0, so
+    # it rings below 0; the implicit scheme is monotone for any dt
     g = GridSpec(2, 4.0, 64, 0.0, 0.5, 10)
     values = np.zeros((g.nt, 64, 64))
     values[slices, 32, 32] = 1.0
     prob = PDEProblem(zero_drift(2).mollified(1.0), SpaceTimeField(g, values, 1), g,
                       direction=direction)
-    cn = solve(replace(prob, scheme="cn"))
-    assert max_principle_violations(cn) == 5
-    assert cn.u.values.min() == pytest.approx(-4.9e-4, rel=0.01)
+    explicit = explicit_euler(prob)
+    assert max_principle_violations(explicit) == 272
+    assert explicit.u.values.min() == pytest.approx(-3.96e15, rel=0.01)
     assert max_principle_violations(solve(prob)) == 0
 
 
@@ -137,7 +147,7 @@ def test_external_time_dependent_drift_is_not_frozen(tmp_path):
     # b = (3 sin 6t, 0) read from a file: the solver must step with each slice, unasked
     g = GridSpec(2, 2.0, 16, 0.0, 1.0, 50)
     f = SpaceTimeField.from_function(g, lambda t, x, y: 1.0 + np.cos(np.pi * x))
-    vel = SpaceTimeField.from_vector_function(
+    vel = SpaceTimeField.from_function(
         g, lambda t, x, y: [np.full_like(x, 3.0 * np.sin(6.0 * t)), np.zeros_like(x)])
     write_field(tmp_path / "b.sdlf", vel)
     b = load_external(tmp_path / "b.sdlf")
@@ -159,7 +169,7 @@ def test_external_time_dependent_drift_is_not_frozen(tmp_path):
 
 def test_external_constant_in_time_drift_is_autonomous(tmp_path):
     g = GridSpec(2, 2.0, 8, 0.0, 0.5, 4)
-    vel = SpaceTimeField.from_vector_function(g, lambda t, x, y: [np.sin(np.pi * y), np.zeros_like(x)])
+    vel = SpaceTimeField.from_function(g, lambda t, x, y: [np.sin(np.pi * y), np.zeros_like(x)])
     write_field(tmp_path / "b.sdlf", vel)
     assert not load_external(tmp_path / "b.sdlf").time_dependent
 
@@ -240,26 +250,15 @@ def test_write_field_does_not_depend_on_the_slabs(monkeypatch, tmp_path, planes)
 
 
 @pytest.mark.parametrize("direction", ["forward", "backward"])
-@pytest.mark.parametrize("scheme", ["implicit", "cn"])
-def test_stride_zero_source_solves_as_tiled(direction, scheme):
+def test_stride_zero_source_solves_as_tiled(direction):
     g = GridSpec(2, 4.0, 16, 0.0, 0.5, 20)
     b = radial_drift(0.5, 2, 0.1)
     view, tiled = bump_source(g), bump_source(g, tiled=True)
     assert view.values.strides[0] == 0 and tiled.values.strides[0] != 0
-    one, other = (solve(PDEProblem(b, f, g, direction, scheme))
-                  for f in (view, tiled))
+    one, other = (solve(PDEProblem(b, f, g, direction)) for f in (view, tiled))
     assert np.array_equal(one.u.values, other.u.values)
     assert (one.sup_norm, vnorm(one.u), one.residual) \
         == (other.sup_norm, vnorm(other.u), other.residual)
-
-
-@pytest.mark.parametrize("direction", ["forward", "backward"])
-def test_crank_nicolson_residual_is_its_own_defect(direction):
-    g = GridSpec(2, 4.0, 32, 0.0, 0.5, 20)
-    prob = PDEProblem(radial_drift(0.5, 2, 0.1), bump_source(g), g, direction)
-    residual = solve(replace(prob, scheme="cn")).residual
-    # the CN relation holds to round-off; the implicit relation is off by about 0.1 here
-    assert 0.0 < residual < 1e-10
 
 
 def test_sweep_keeps_the_problems_own_level():
@@ -273,23 +272,6 @@ def test_sweep_keeps_the_problems_own_level():
     assert np.array_equal(kept.u.values, alone.u.values)
     assert (kept.sup_norm, vnorm(kept.u), kept.residual) == (alone.sup_norm, vnorm(alone.u),
                                                              alone.residual)
-
-
-def test_cn_problem_sweeps_implicit_levels_and_keeps_nothing(monkeypatch):
-    g = GridSpec(2, 4.0, 16, 0.0, 0.5, 20)
-    levels = [0.4, 0.2, 0.1]
-    problem = PDEProblem(radial_drift(0.5, 2, 0.1), bump_source(g), g, "backward", "cn")
-    real, solved = pde_mod.solve, []
-    monkeypatch.setattr(pde_mod, "solve", lambda p: solved.append(real(p)) or solved[-1])
-    rep = stability_sweep(problem, levels)
-    assert rep["kept"] is None
-    implicit = [real(replace(problem, drift=radial_drift(0.5, 2, eps), scheme="implicit"))
-                for eps in levels]
-    assert len(solved) == len(levels)
-    for level, alone in zip(solved, implicit):
-        assert np.array_equal(level.u.values, alone.u.values)
-        assert (level.sup_norm, level.residual) == (alone.sup_norm, alone.residual)
-    assert rep["sup_norms"] == [s.sup_norm for s in implicit]
 
 
 def test_sweep_traced_peak_is_at_most_three_solutions():
@@ -396,14 +378,12 @@ def test_build_operator_traced_peak():
     assert peak <= 4.5 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
 
 
-@pytest.mark.parametrize("scheme", ["implicit", "cn"])
-def test_factor_solves_step_matrix_without_row_exchange(monkeypatch, scheme):
+def test_factor_solves_step_matrix_without_row_exchange(monkeypatch):
     # strong enough that partial pivoting would exchange rows at the origin's column
     g = GridSpec(2, 4.0, 8, 0.0, 1.0, 4)
     nodes = g.nodes()
     A = build_operator(g, radial_drift(10.0, 2, 0.2)(0.0, nodes))
-    ident = sp.identity(len(nodes), format="csr")
-    M = {"implicit": ident - g.dt * A, "cn": ident - 0.5 * g.dt * A}[scheme]
+    M = sp.identity(len(nodes), format="csr") - g.dt * A
     real, orderings = spla.splu, []
     monkeypatch.setattr(spla, "splu", lambda A, **kw: orderings.append(kw.get("permc_spec"))
                         or real(A, **kw))

@@ -155,7 +155,7 @@ def test_jacobian_brownian_and_ou():
 def test_jacobian_divergence_free_external_field(tmp_path):
     g = GridSpec(2, 2.0, 32, 0.0, 0.5, 4)
     k = 2 * np.pi / 2.0
-    vel = SpaceTimeField.from_vector_function(
+    vel = SpaceTimeField.from_function(
         g, lambda t, x, y: [np.sin(k * x) * np.cos(k * y), -np.cos(k * x) * np.sin(k * y)]
     )
     path = tmp_path / "tg.sdlf"
