@@ -301,8 +301,6 @@ def load_external(path) -> DriftField:
         )
     # (nt, d, N, ..., N); SDLF stores a 1-D field as a scalar, without the component axis
     values = fld.values if g.spatial_dim > 1 else fld.values[:, None]
-    if not np.all(np.isfinite(values)):
-        raise ValueError("external field has non-finite values")
 
     # d_i b_i spectrally: one transform pair per component, as spatial_gradient's column i
     axes = tuple(range(1, 1 + g.spatial_dim))

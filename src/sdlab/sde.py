@@ -5,13 +5,14 @@ so results are independent of evaluation order.  A coupled run steps a
 dt chain and a dt/2 chain on one Brownian path: each fine key (seed, j)
 is drawn once, and coarse step k adds fine increments 2k and 2k+1.
 An ensemble of more than BLOCK_ROWS paths is cut into row blocks, each
-with its own noise counter, and one task on all cores takes a block
-through every step (drift, update, noise, finiteness check); the stream
-depends on the block size, never on the number of threads, and drifts
-act row by row, so the split changes no bit.  Time integrals of
-path functionals use left-endpoint Riemann sums, which makes the
-f == 1 identities exact rather than approximate.  Only ``normal_ks``
-uses scipy (``scipy.special.ndtr``), and imports it on its first call.
+with its own noise counter, and one task on a pool of all cores, which
+lives for one ``simulate`` call, takes a block through every step
+(drift, update, noise, finiteness check); the stream depends on the
+block size, never on the number of threads, and drifts act row by row,
+so the split changes no bit.  Time integrals of path functionals use
+left-endpoint Riemann sums, which makes the f == 1 identities exact
+rather than approximate.  Only ``normal_ks`` uses scipy
+(``scipy.special.ndtr``), and imports it on its first call.
 """
 
 from __future__ import annotations
@@ -33,26 +34,12 @@ SQRT2 = np.sqrt(2.0)
 
 # rows per noise block, at most; a step of up to this many paths is one block
 BLOCK_ROWS = 2**15
-_POOL = None
 
 
-def _pool() -> concurrent.futures.ThreadPoolExecutor:
-    global _POOL
-    if _POOL is None:
-        # the cores this process may run on (sched_getaffinity is Linux-only)
-        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        _POOL = concurrent.futures.ThreadPoolExecutor(cores or 1)
-    return _POOL
-
-
-def _forget_pool():
-    # a forked child inherits the executor but not its threads
-    global _POOL
-    _POOL = None
-
-
-if hasattr(os, "register_at_fork"):  # POSIX only; elsewhere nothing forks
-    os.register_at_fork(after_in_child=_forget_pool)
+def _row_pool() -> concurrent.futures.ThreadPoolExecutor:
+    """A pool with one thread per core this process may run on (sched_getaffinity is Linux-only)."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return concurrent.futures.ThreadPoolExecutor(cores or 1)
 
 
 def _fill_block(seed: int, step: int, block: int, out: np.ndarray) -> None:
@@ -288,15 +275,16 @@ def simulate(config: EnsembleConfig, integrands: dict | None = None,
     no integrand may take.
 
     An ensemble of more than ``BLOCK_ROWS`` paths is cut at ``step_normals``'
-    block edges, and each block is one task on the thread pool that takes
-    its rows through every step: drift, integrands, update, its block of
-    the noise and the finiteness check.  Such a task calls the drift's
-    kernel ``fn`` directly, and the integrands on its rows and their b, so
-    integrands and drifts must act row by row.  The bits do not depend on
-    the split or on the number of threads.  A block stops at its first
-    non-finite state and the others once past that step; the error names
-    the earliest such step.  An exception raised in a block stops them all
-    and is raised here.
+    block edges.  A pool with one thread per core lives for this call, and
+    each block is one task on it that takes its rows through every step:
+    drift, integrands, update, its block of the noise and the finiteness
+    check.  Such a task calls the drift's kernel ``fn`` directly, and the
+    integrands on its rows and their b, so integrands and drifts must act
+    row by row.  The bits do not depend on the split or on the number of
+    threads.  A block stops at its first non-finite state and the others
+    once past that step; the error names the earliest such step.  An
+    exception raised in a block stops them all and is raised here; no
+    block is left running when this call returns.
     """
     integrands = integrands or {}
     if "div" in integrands:
@@ -314,12 +302,13 @@ def simulate(config: EnsembleConfig, integrands: dict | None = None,
     if len(blocks) == 1:
         first = _march(coarse, fine, blocks[0], None, limit)
     else:
-        futures = [_pool().submit(_march, coarse, fine, rows, b, limit)
-                   for b, rows in enumerate(blocks)]
-        try:
-            concurrent.futures.wait(futures)
-        finally:
-            limit[0] = 0  # an interrupted caller does not wait for the whole horizon
+        with _row_pool() as pool:
+            futures = [pool.submit(_march, coarse, fine, rows, b, limit)
+                       for b, rows in enumerate(blocks)]
+            try:
+                concurrent.futures.wait(futures)
+            finally:
+                limit[0] = 0  # an interrupted caller does not wait for the whole horizon
         first = min(fut.result() for fut in futures)
     if first < K:
         raise FloatingPointError(f"non-finite state at step {first}")
@@ -658,7 +647,7 @@ def weak_convergence_scan(base_drift: DriftField, eps_levels, observables, start
 
     ``observables`` is a list of (t_i, f_i) with f_i bounded on states.
     Reports per-level estimates with batch standard errors, consecutive
-    Cauchy gaps, and a fit of the modulus to C * (delta^{theta/2} + delta^{1/4}).
+    Cauchy gaps, and the largest tightness modulus over levels and deltas.
     """
     rows = []
     for eps in eps_levels:
@@ -675,13 +664,9 @@ def weak_convergence_scan(base_drift: DriftField, eps_levels, observables, start
     gaps = []
     for a, b in zip(rows, rows[1:]):
         gaps.append(max(abs(x[0] - y[0]) for x, y in zip(a["observables"], b["observables"])))
-    mod = np.array([r["modulus"] for r in rows])
-    shape = np.power(deltas, 0.5) + np.power(deltas, 0.25)  # theta = 1 reference shape
-    c_fit = float(np.max(mod / shape[None]))
     return {
         "levels": rows,
         "cauchy_gaps": gaps,
         "deltas": list(deltas),
-        "modulus_uniform_bound": float(mod.max()),
-        "modulus_shape_constant": c_fit,
+        "modulus_uniform_bound": max(max(r["modulus"]) for r in rows),
     }

@@ -3,7 +3,6 @@ import itertools
 import json
 import os
 import pkgutil
-import re
 import subprocess
 import sys
 import types
@@ -29,7 +28,7 @@ from sdlab.cli import (
     validate_config_data,
 )
 from sdlab.drifts import radial_drift
-from sdlab.grids import GridSpec, SpaceTimeField, read_field
+from sdlab.grids import GridSpec, SpaceTimeField, read_field, write_field
 
 
 @pytest.fixture(scope="module")
@@ -313,6 +312,9 @@ PROBES = {
                          ["ensemble", "horizon", "dt"]),
     "paths-string": (lambda c: c["ensemble"].update(paths="400"), ["ensemble", "paths"]),
     "unknown-top-level": (lambda c: c.update(typo=1), ["config", "typo"]),
+    # the khasminskii verifier is gone: its name is rejected like any unknown verifier
+    "khasminskii": (lambda c: c["verifiers"].append({"name": "khasminskii"}),
+                    ["verifiers[4]", "unknown verifier 'khasminskii'"]),
 }
 
 
@@ -324,6 +326,23 @@ UNREADABLE = {
 }
 
 
+def _assert_rejected(runner, path, words):
+    """validate-config and run both reject the config at ``path``.
+
+    Each exits 2, its last line is ``invalid: ...`` holding every word, and no output is written.
+    """
+    out = path.parent / "o"
+    for args in (["validate-config", str(path)], ["run", "--config", str(path), "--out", str(out)]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        message = result.output.splitlines()[-1]
+        assert message.startswith("invalid: "), message
+        for word in words:
+            assert word in message, message
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("probe", sorted(PROBES) + sorted(UNREADABLE))
 def test_bad_config_rejected_before_run(runner, tmp_path, probe):
     path = tmp_path / "bad.yaml"
@@ -333,20 +352,10 @@ def test_bad_config_rejected_before_run(runner, tmp_path, probe):
     else:
         change, words = PROBES[probe]
         path.write_text(yaml.safe_dump(_probe(change)))
-    for args in (["validate-config", str(path)],
-                 ["run", "--config", str(path), "--out", str(tmp_path / "o")]):
-        result = runner.invoke(main, args)
-        assert result.exit_code == 2, result.output
-        assert isinstance(result.exception, SystemExit)
-        message = result.output.splitlines()[-1]
-        assert message.startswith("invalid: ")
-        for word in words:
-            assert word in message
-    assert not (tmp_path / "o").exists()
+    _assert_rejected(runner, path, words)
 
 
-
-# value checks the loader makes besides the twelve probes
+# value checks the loader makes besides the probes; a relative path is read from the test's tmp_path
 VALUE_FAULTS = {
     "negative-seed": (lambda c: c.update(seed=-1), "seed"),
     "store-stride-0": (lambda c: c["ensemble"].update(store_stride=0), "store_stride"),
@@ -356,6 +365,9 @@ VALUE_FAULTS = {
     "constant-1d-on-2d": (lambda c: c.update(drift={"kind": "constant", "value": [1.0]}), "value"),
     "external-missing": (lambda c: c.update(drift={"kind": "external", "path": "no/such.sdlf"}),
                          "path"),
+    # nan.sdlf holds one NaN: read_field rejects it before the drift is built
+    "external-nan": (lambda c: c.update(drift={"kind": "external", "path": "nan.sdlf"}),
+                     "drift (external): field values must be finite"),
     # brownian-variance and density-ks check the law of b = 0, whatever the drift
     "b0-law-constant": (lambda c: c.update(drift={"kind": "constant", "value": [1.0, 0.0]}),
                         "(brownian-variance): checks the law of b = 0: needs drift kind 'zero', "
@@ -405,11 +417,24 @@ VALUE_FAULTS = {
 }
 
 
+def _write_nan_sdlf(path):
+    """A 2-D velocity field on a 4x4 grid whose last value is NaN."""
+    grid = GridSpec(2, 8.0, 4, 0.0, 0.5, 1)
+    write_field(path, SpaceTimeField(grid, np.zeros((grid.nt, 2, 4, 4)), 2))
+    with open(path, "r+b") as fh:  # SpaceTimeField refuses a NaN: put it in the file
+        fh.seek(-8, os.SEEK_END)
+        fh.write(np.float64(np.nan).tobytes())
+
+
 @pytest.mark.parametrize("fault", sorted(VALUE_FAULTS))
-def test_value_faults_rejected_at_load(fault):
+def test_value_faults_rejected_at_load(runner, tmp_path, monkeypatch, fault):
     change, word = VALUE_FAULTS[fault]
-    with pytest.raises(ConfigError, match=re.escape(word)):
-        validate_config_data(_probe(change))
+    monkeypatch.chdir(tmp_path)
+    _write_nan_sdlf(tmp_path / "nan.sdlf")
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(_probe(change)))
+    _assert_rejected(runner, path, [word])
+
 
 def test_config_hash_covers_resolved_config(runner, tmp_path):
     terse = {
